@@ -11,14 +11,12 @@
 //!   with series/parallel reductions — a third independent exact oracle,
 //! * [`full`]: the materialized, all-layers BDD baseline (what the paper calls
 //!   "the BDD-based approach", TdZDD-style), with node accounting and a node
-//!   limit so the Figure 3 DNF behaviour is reproducible,
-//! * [`dot`]: Graphviz export of small materialized BDDs.
+//!   limit so the Figure 3 DNF behaviour is reproducible.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod brute;
-pub mod dot;
 pub mod factoring;
 pub mod frontier;
 pub mod full;

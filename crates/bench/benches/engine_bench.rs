@@ -5,10 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netrel_bench::overlapping_terminal_pairs;
 use netrel_core::{pro_reliability, ProConfig};
 use netrel_datasets::Dataset;
-use netrel_engine::{Engine, EngineConfig, ReliabilityQuery};
+use netrel_engine::{Engine, EngineConfig, Query};
 use netrel_s2bdd::S2BddConfig;
 
-fn workload(scale: f64) -> (netrel_ugraph::UncertainGraph, Vec<ReliabilityQuery>) {
+fn workload(scale: f64) -> (netrel_ugraph::UncertainGraph, Vec<Query>) {
     let g = Dataset::Dblp1.generate(scale, 7);
     let cfg = ProConfig {
         s2bdd: S2BddConfig {
@@ -21,7 +21,7 @@ fn workload(scale: f64) -> (netrel_ugraph::UncertainGraph, Vec<ReliabilityQuery>
     };
     let pairs = overlapping_terminal_pairs(&g, 5, 7);
     let queries = (0..20)
-        .map(|i| ReliabilityQuery::with_config(pairs[i % pairs.len()].clone(), cfg))
+        .map(|i| Query::with_config(pairs[i % pairs.len()].clone(), cfg))
         .collect();
     (g, queries)
 }

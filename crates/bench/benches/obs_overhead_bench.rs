@@ -14,7 +14,7 @@
 //! the overhead gate doubles as an end-to-end invariance check.
 
 use netrel_core::ProConfig;
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, Recorder};
+use netrel_engine::{Engine, EngineConfig, PlanBudget, Query, Recorder};
 use netrel_ugraph::UncertainGraph;
 use std::time::Instant;
 
@@ -38,27 +38,24 @@ fn workload_graph() -> UncertainGraph {
     UncertainGraph::new(40, edges).unwrap()
 }
 
-fn queries() -> Vec<PlannedQuery> {
+fn queries() -> Vec<Query> {
     (0..16)
         .map(|i| {
-            PlannedQuery::with_config(
-                vec![2 * (i % 5), 30 + (i % 7)],
-                ProConfig::default(),
-                PlanBudget::default(),
-            )
+            Query::with_config(vec![2 * (i % 5), 30 + (i % 7)], ProConfig::default())
+                .planned(PlanBudget::default())
         })
         .collect()
 }
 
 /// Seconds for one round: `BATCHES_PER_ROUND` planned batches on a fresh
 /// engine (cold first batch, warm rest — the service steady state).
-fn round(recorder: Recorder, queries: &[PlannedQuery]) -> (f64, u64) {
+fn round(recorder: Recorder, queries: &[Query]) -> (f64, u64) {
     let mut engine = Engine::with_recorder(EngineConfig::sequential(), recorder);
     let id = engine.register("ladder", workload_graph());
     let t0 = Instant::now();
     let mut bits = 0u64;
     for _ in 0..BATCHES_PER_ROUND {
-        for a in engine.run_planned_batch(id, queries).unwrap() {
+        for a in engine.run_batch(id, queries).unwrap() {
             bits ^= a.unwrap().estimate.to_bits();
         }
     }

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netrel_datasets::{clique, Dataset};
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, ReliabilityQuery};
+use netrel_engine::{Engine, EngineConfig, PlanBudget, Query};
 use netrel_s2bdd::S2BddConfig;
 
 fn bench_planner(c: &mut Criterion) {
@@ -15,10 +15,10 @@ fn bench_planner(c: &mut Criterion) {
     // model is the only overhead over the classic engine.
     let sparse = Dataset::Tokyo.generate(0.01, 7);
     let pairs = netrel_bench::overlapping_terminal_pairs(&sparse, 5, 7);
-    let classic: Vec<ReliabilityQuery> = pairs
+    let classic: Vec<Query> = pairs
         .iter()
         .map(|t| {
-            ReliabilityQuery::with_config(
+            Query::with_config(
                 t.clone(),
                 netrel_core::ProConfig {
                     s2bdd: S2BddConfig::exact(),
@@ -27,9 +27,9 @@ fn bench_planner(c: &mut Criterion) {
             )
         })
         .collect();
-    let planned: Vec<PlannedQuery> = pairs
+    let planned: Vec<Query> = pairs
         .iter()
-        .map(|t| PlannedQuery::new(t.clone(), PlanBudget::default()))
+        .map(|t| Query::new(t.clone()).planned(PlanBudget::default()))
         .collect();
 
     group.bench_function(BenchmarkId::from_parameter("sparse_classic"), |b| {
@@ -49,7 +49,7 @@ fn bench_planner(c: &mut Criterion) {
             let mut engine = Engine::new(EngineConfig::sequential());
             let id = engine.register("tokyo", sparse.clone());
             engine
-                .run_planned_batch(id, &planned)
+                .run_batch(id, &planned)
                 .unwrap()
                 .into_iter()
                 .map(|a| a.unwrap().estimate)
@@ -60,15 +60,15 @@ fn bench_planner(c: &mut Criterion) {
     // Dense workload: the exact path cannot finish under the node cap; the
     // planner routes to sampling and completes.
     let dense = clique(50);
-    let dense_queries: Vec<PlannedQuery> = (0..10)
-        .map(|i| PlannedQuery::new(vec![i, 25 + i], PlanBudget::default()))
+    let dense_queries: Vec<Query> = (0..10)
+        .map(|i| Query::new(vec![i, 25 + i]).planned(PlanBudget::default()))
         .collect();
     group.bench_function(BenchmarkId::from_parameter("dense_planned"), |b| {
         b.iter(|| {
             let mut engine = Engine::new(EngineConfig::sequential());
             let id = engine.register("clique50", dense.clone());
             engine
-                .run_planned_batch(id, &dense_queries)
+                .run_batch(id, &dense_queries)
                 .unwrap()
                 .into_iter()
                 .map(|a| a.unwrap().estimate)

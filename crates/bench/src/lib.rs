@@ -7,7 +7,10 @@
 //! * `--searches=<n>` — random terminal draws per configuration,
 //! * `--seed=<n>`  — base RNG seed,
 //! * `--full`      — paper-fidelity sizes (scale 1.0, paper search counts),
-//! * `--json=<path>` — also dump machine-readable rows.
+//! * `--json=<path>` — also dump machine-readable rows,
+//! * `--help` — print the usage and exit.
+//!
+//! An unknown flag or a malformed value is an error (exit status 2).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -51,16 +54,41 @@ impl Default for RunArgs {
     }
 }
 
-/// Parse `std::env::args`, with `--full` upgrading the defaults.
-pub fn parse_args() -> RunArgs {
+/// Usage text shared by every binary built on [`parse_args`].
+pub const USAGE: &str = "\
+options:
+  --scale=<f>      vertex-count scale for the large synthetic datasets (default 0.05)
+  --searches=<n>   random terminal draws per configuration (default 3)
+  --seed=<n>       base RNG seed (default 7)
+  --full           paper-fidelity sizes: scale 1.0, 20 searches
+  --json=<path>    also write machine-readable rows to <path>
+  --suite=<name>   suite selector of netrel-testrunner
+  -h, --help       print this help and exit";
+
+/// Why a command line yields no [`RunArgs`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArgsError {
+    /// `--help` or `-h`: print [`USAGE`] and exit 0.
+    Help,
+    /// An unknown flag or a malformed value: report it and exit 2.
+    Invalid(String),
+}
+
+/// Parse command-line arguments (without the program name), with `--full`
+/// upgrading the defaults. Pure: it prints nothing and never exits.
+pub fn parse_arg_list(args: impl IntoIterator<Item = String>) -> Result<RunArgs, ArgsError> {
+    fn value<T: std::str::FromStr>(flag: &str, v: &str, kind: &str) -> Result<T, ArgsError> {
+        v.parse()
+            .map_err(|_| ArgsError::Invalid(format!("{flag} takes {kind}, got {v:?}")))
+    }
     let mut a = RunArgs::default();
-    for arg in std::env::args().skip(1) {
+    for arg in args {
         if let Some(v) = arg.strip_prefix("--scale=") {
-            a.scale = v.parse().expect("--scale takes a float");
+            a.scale = value("--scale", v, "a float")?;
         } else if let Some(v) = arg.strip_prefix("--searches=") {
-            a.searches = v.parse().expect("--searches takes an integer");
+            a.searches = value("--searches", v, "an integer")?;
         } else if let Some(v) = arg.strip_prefix("--seed=") {
-            a.seed = v.parse().expect("--seed takes an integer");
+            a.seed = value("--seed", v, "an integer")?;
         } else if let Some(v) = arg.strip_prefix("--json=") {
             a.json = Some(v.to_string());
         } else if let Some(v) = arg.strip_prefix("--suite=") {
@@ -69,11 +97,32 @@ pub fn parse_args() -> RunArgs {
             a.full = true;
             a.scale = 1.0;
             a.searches = 20;
+        } else if arg == "--help" || arg == "-h" {
+            return Err(ArgsError::Help);
         } else {
-            eprintln!("warning: unknown argument {arg:?} ignored");
+            return Err(ArgsError::Invalid(format!("unknown argument {arg:?}")));
         }
     }
-    a
+    Ok(a)
+}
+
+/// Parse `std::env::args` via [`parse_arg_list`]. `--help` prints the usage
+/// and exits 0; an unknown flag or a malformed value prints a message and
+/// exits 2.
+pub fn parse_args() -> RunArgs {
+    let mut argv = std::env::args();
+    let program = argv.next().unwrap_or_default();
+    match parse_arg_list(argv) {
+        Ok(a) => a,
+        Err(ArgsError::Help) => {
+            println!("usage: {program} [options]\n\n{USAGE}");
+            std::process::exit(0)
+        }
+        Err(ArgsError::Invalid(msg)) => {
+            eprintln!("error: {msg}\n\nusage: {program} [options]\n\n{USAGE}");
+            std::process::exit(2)
+        }
+    }
 }
 
 /// Wall-clock one closure.
@@ -189,5 +238,45 @@ mod tests {
         let a = RunArgs::default();
         assert_eq!(a.scale, 0.05);
         assert!(!a.full);
+    }
+
+    fn parse(args: &[&str]) -> Result<RunArgs, ArgsError> {
+        parse_arg_list(args.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn flags_parse_and_full_upgrades_defaults() {
+        let a = parse(&["--full", "--seed=3", "--json=out.json", "--suite=engine"]).unwrap();
+        assert_eq!((a.scale, a.searches, a.seed), (1.0, 20, 3));
+        assert!(a.full);
+        assert_eq!(a.json.as_deref(), Some("out.json"));
+        assert_eq!(a.suite.as_deref(), Some("engine"));
+        // A later explicit flag refines `--full`.
+        assert_eq!(parse(&["--full", "--scale=0.5"]).unwrap().scale, 0.5);
+    }
+
+    #[test]
+    fn help_flag_requests_the_usage() {
+        assert_eq!(parse(&["--help"]).unwrap_err(), ArgsError::Help);
+        assert_eq!(parse(&["--seed=1", "-h"]).unwrap_err(), ArgsError::Help);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let Err(ArgsError::Invalid(msg)) = parse(&["--scale=0.1", "--bogus"]) else {
+            panic!("an unknown flag must be rejected");
+        };
+        assert!(msg.contains("--bogus"), "{msg}");
+    }
+
+    #[test]
+    fn malformed_values_are_rejected_not_panics() {
+        for bad in ["--seed=abc", "--scale=x", "--searches=-1", "--searches="] {
+            let Err(ArgsError::Invalid(msg)) = parse(&[bad]) else {
+                panic!("{bad} must be rejected");
+            };
+            let flag = bad.split('=').next().unwrap();
+            assert!(msg.starts_with(flag), "{bad}: {msg}");
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The two throughput suites behind the `netrel-testrunner` bin.
 //!
-//! * [`engine_suite`] — classic-path cold/warm batch throughput against
+//! * [`engine_suite`] — fixed-route cold/warm batch throughput against
 //!   independent one-shot `pro_reliability` calls (the former
 //!   `engine_throughput` bin; baseline `BENCH_engine.json`).
 //! * [`planner_suite`] — adaptive-planner completion and routing on dense
@@ -18,8 +18,7 @@ use crate::{fmt_secs, overlapping_terminal_pairs, time, RunArgs};
 use netrel_core::{pro_reliability, ProConfig, SemanticsSpec};
 use netrel_datasets::{clique, Dataset};
 use netrel_engine::{
-    Engine, EngineConfig, Mutation, PlanBudget, PlannedQuery, QueryAnswer, Recorder,
-    ReliabilityQuery,
+    Engine, EngineConfig, Mutation, PlanBudget, Query, Recorder, ReliabilityAnswer,
 };
 use netrel_obs::{BenchReport, BenchRow, CacheCounts, RouteCounts};
 use netrel_s2bdd::S2BddConfig;
@@ -29,7 +28,7 @@ const ENGINE_QUERIES: usize = 100;
 const ENGINE_DISTINCT_PAIRS: usize = 10;
 const ENGINE_BATCH: usize = 10;
 
-/// Classic-path throughput: cold vs. warm batch queries/sec against
+/// Fixed-route throughput: cold vs. warm batch queries/sec against
 /// independent one-shot `pro_reliability` calls, on the Tokyo-like (road,
 /// tree-like) and DBLP-like (coauthor, dense-core) generators. Asserts
 /// bit-identity between one-shot, cold, and warm answers.
@@ -52,8 +51,8 @@ pub fn engine_suite(args: &RunArgs) -> BenchReport {
     for ds in [Dataset::Tokyo, Dataset::Dblp1] {
         let g = ds.generate(args.scale, args.seed);
         let pairs = overlapping_terminal_pairs(&g, ENGINE_DISTINCT_PAIRS, args.seed);
-        let queries: Vec<ReliabilityQuery> = (0..ENGINE_QUERIES)
-            .map(|i| ReliabilityQuery::with_config(pairs[i % pairs.len()].clone(), cfg))
+        let queries: Vec<Query> = (0..ENGINE_QUERIES)
+            .map(|i| Query::with_config(pairs[i % pairs.len()].clone(), cfg))
             .collect();
 
         // Independent one-shot calls: full preprocessing per call, no cache.
@@ -90,7 +89,7 @@ pub fn engine_suite(args: &RunArgs) -> BenchReport {
             queries: ENGINE_QUERIES as u64,
             secs: cold_secs,
             qps: cold_qps,
-            // The classic path routes nothing through the planner.
+            // Fixed routing sends nothing through the planner.
             routes: RouteCounts::default(),
             cache: CacheCounts {
                 hits: snapshot.cache_hits,
@@ -131,8 +130,8 @@ pub fn engine_suite(args: &RunArgs) -> BenchReport {
 fn run_chunks(
     engine: &Engine,
     id: netrel_engine::GraphId,
-    queries: &[ReliabilityQuery],
-) -> Vec<QueryAnswer> {
+    queries: &[Query],
+) -> Vec<ReliabilityAnswer> {
     let mut answers = Vec::with_capacity(queries.len());
     for chunk in queries.chunks(ENGINE_BATCH) {
         for a in engine.run_batch(id, chunk).expect("graph registered") {
@@ -224,13 +223,13 @@ pub fn planner_suite(args: &RunArgs) -> BenchReport {
         let mut engine = Engine::with_recorder(EngineConfig::sequential(), Recorder::enabled());
         let id = engine.register(workload.clone(), g.clone());
 
-        // Exact-only under the same node cap the planner gets. The classic
-        // path bumps no route counters, so the snapshot below isolates the
+        // Exact-only under the same node cap the planner gets. Fixed
+        // routing bumps no route counters, so the snapshot below isolates the
         // planner run's routing.
-        let exact_queries: Vec<ReliabilityQuery> = terminal_sets
+        let exact_queries: Vec<Query> = terminal_sets
             .iter()
             .map(|t| {
-                ReliabilityQuery::with_semantics(
+                Query::with_semantics(
                     spec,
                     t.clone(),
                     ProConfig {
@@ -259,20 +258,21 @@ pub fn planner_suite(args: &RunArgs) -> BenchReport {
         // cannot skew them.
         engine.clear_cache();
         let before = engine.metrics_snapshot().expect("recorder is enabled");
-        let planned: Vec<PlannedQuery> = terminal_sets
+        let planned: Vec<Query> = terminal_sets
             .iter()
-            .map(|t| PlannedQuery::with_semantics(spec, t.clone(), ProConfig::default(), budget))
+            .map(|t| Query::with_semantics(spec, t.clone(), ProConfig::default()).planned(budget))
             .collect();
-        let (answers, planner_secs) = time(|| engine.run_planned_batch(id, &planned).unwrap());
+        let (answers, planner_secs) = time(|| engine.run_batch(id, &planned).unwrap());
         let after = engine.metrics_snapshot().expect("recorder is enabled");
 
         let (mut done, mut ci_sum) = (0usize, 0.0f64);
         for a in &answers {
             let a = a.as_ref().unwrap();
-            if informative(a.exact, a.ci.width()) {
+            let width = a.ci.expect("planned answers carry a CI").width();
+            if informative(a.exact, width) {
                 done += 1;
             }
-            ci_sum += a.ci.width();
+            ci_sum += width;
         }
         let routes = RouteCounts {
             exact: after.routes.exact - before.routes.exact,
@@ -361,15 +361,11 @@ pub fn mutation_suite(args: &RunArgs) -> BenchReport {
         "workload", "rounds", "update", "requery", "rebuild", "ratio", "whatif q/s"
     );
     for (workload, g, terminals) in workloads {
-        let q = PlannedQuery::with_semantics(
-            SemanticsSpec::KTerminal,
-            terminals,
-            ProConfig::default(),
-            budget,
-        );
+        let q = Query::with_semantics(SemanticsSpec::KTerminal, terminals, ProConfig::default())
+            .planned(budget);
         let mut engine = Engine::with_recorder(EngineConfig::sequential(), Recorder::enabled());
         let id = engine.register(workload.clone(), g.clone());
-        let (_, cold_secs) = time(|| engine.run_planned(id, &q).unwrap());
+        let (_, cold_secs) = time(|| engine.run(id, &q).unwrap());
 
         // A deterministic schedule touching spread-out edges with
         // probabilities strictly inside (0, 1).
@@ -387,7 +383,7 @@ pub fn mutation_suite(args: &RunArgs) -> BenchReport {
         for &(e, p) in &schedule {
             let (_, t) = time(|| engine.update_edge_prob(id, e, p).unwrap());
             update_secs += t;
-            let (a, t) = time(|| engine.run_planned(id, &q).unwrap());
+            let (a, t) = time(|| engine.run(id, &q).unwrap());
             requery_secs += t;
             live.push(a);
         }
@@ -403,7 +399,7 @@ pub fn mutation_suite(args: &RunArgs) -> BenchReport {
                 g2.update_edge_prob(e, p).unwrap();
                 let mut fresh = Engine::new(EngineConfig::sequential());
                 let fid = fresh.register("fresh", g2.clone());
-                rebuilt.push(fresh.run_planned(fid, &q).unwrap());
+                rebuilt.push(fresh.run(fid, &q).unwrap());
             }
         });
         for (i, (a, b)) in live.iter().zip(&rebuilt).enumerate() {

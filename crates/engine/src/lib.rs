@@ -4,48 +4,51 @@
 //! the surrounding literature is *many queries against one uncertain graph*
 //! (benchmark suites issue thousands of terminal sets, reliability
 //! maximization re-evaluates `R` under small perturbations in an inner
-//! loop). This crate answers batches of [`ReliabilityQuery`] values against
-//! registered graphs through a three-stage pipeline:
+//! loop). This crate answers batches of [`Query`] values against
+//! registered graphs through one three-stage pipeline:
 //!
-//! 1. **Semantics planning** — each query names a reliability semantics
-//!    ([`SemanticsSpec`]: k-terminal,
+//! 1. **Semantics planning and routing** — each query names a reliability
+//!    semantics ([`SemanticsSpec`]: k-terminal,
 //!    two-terminal, all-terminal, d-hop, expected reachable-set size) that
 //!    decomposes `(G, T)` into parts. The terminal-independent structure
 //!    (bridges, 2ECC labelling, bridge forest:
 //!    `netrel_preprocess::GraphIndex`) is computed once at
 //!    [`Engine::register`] time and reused by every query; only the
-//!    terminal-dependent decompose step runs per query.
+//!    terminal-dependent decompose step runs per query. The query's
+//!    [`Routing`] policy then picks each part's solver: [`Routing::Fixed`]
+//!    runs the query's own `Pro` configuration (width `w`, `s` samples) on
+//!    every part, [`Routing::Planned`] lets the adaptive [`planner`] route
+//!    each part to exact S2BDD, width-bounded S2BDD, exact hop-bounded
+//!    enumeration, or sampling under a per-query [`PlanBudget`].
 //! 2. **Plan cache** — each decomposed part is keyed by its canonical
 //!    structure, terminal set, part computation (connectivity vs. hop
 //!    bound), and full solver config ([`PlanKey`]); results are LRU-cached
 //!    so repeated and overlapping queries skip the solve entirely.
 //!    Identical parts *within* one batch are also deduped and solved once.
 //! 3. **Parallel executor** — remaining part jobs run on scoped worker
-//!    threads with deterministic seeds and deterministic reassembly:
-//!    answers are bit-identical to the one-shot
+//!    threads with deterministic seeds and deterministic reassembly.
+//!    Under [`Routing::Fixed`], answers are bit-identical to the one-shot
 //!    [`semantics_reliability`](netrel_core::semantics_reliability) (and
 //!    hence, for k-terminal queries, to
 //!    [`pro_reliability`](netrel_core::pro_reliability)), sequential or not.
 //!
-//! For graphs the exact path cannot finish, the **adaptive planner**
-//! ([`planner`], [`Engine::run_planned_batch`]) routes each part to exact
-//! S2BDD, width-bounded S2BDD, exact hop-bounded enumeration, or flat
-//! sampling under a per-query [`PlanBudget`], returning
-//! [`ReliabilityAnswer`] values that carry the semantics they answered,
-//! exactness status, and a confidence interval (`DESIGN.md` §9 is the
-//! accuracy contract).
+//! Every query comes back as a [`ReliabilityAnswer`] carrying the semantics
+//! it answered, proven bounds, and exactness status; planned answers also
+//! carry the per-part routes and a confidence interval (`DESIGN.md` §9 is
+//! the accuracy contract).
 //!
 //! ```
-//! use netrel_engine::{Engine, EngineConfig, ReliabilityQuery};
+//! use netrel_engine::{Engine, EngineConfig, PlanBudget, Query};
 //! use netrel_ugraph::UncertainGraph;
 //!
 //! let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9), (3, 0, 0.7)]).unwrap();
 //! let mut engine = Engine::new(EngineConfig::default());
 //! let id = engine.register("demo", g);
-//! let answers = engine
-//!     .run_batch(id, &[ReliabilityQuery::new(vec![0, 2]), ReliabilityQuery::new(vec![1, 3])])
-//!     .unwrap();
-//! for a in answers {
+//! let queries = [
+//!     Query::new(vec![0, 2]),
+//!     Query::new(vec![1, 3]).planned(PlanBudget::default()),
+//! ];
+//! for a in engine.run_batch(id, &queries).unwrap() {
 //!     let a = a.unwrap();
 //!     assert!(a.lower_bound <= a.estimate && a.estimate <= a.upper_bound);
 //! }
@@ -61,17 +64,17 @@ pub mod planner;
 pub mod service;
 
 use netrel_core::{
-    combine_semantics_plan, exact_semantics_part, lane_utilization_percent, part_s2bdd_config,
-    sample_semantics_part, solve_semantics_part, BitSamplingConfig, PartComputation, ProConfig,
-    ProResult, SamplingConfig, SemPart, SemanticsPlan, SemanticsSpec, WorldBank,
-    DHOP_EXACT_EDGE_LIMIT,
+    combine_semantics_plan, exact_semantics_part, lane_utilization_percent, sample_semantics_part,
+    solve_semantics_part, BitSamplingConfig, ProConfig, ProResult, SamplingConfig, SemanticsPlan,
+    SemanticsSpec, WorldBank,
 };
-use netrel_numeric::{normal_ci, ConfidenceInterval};
+use netrel_numeric::{normal_ci, ConfidenceInterval, ConfidenceLevel};
 use netrel_obs::trace as obs_trace;
 use netrel_obs::TraceBuilder;
 use netrel_preprocess::GraphIndex;
-use netrel_s2bdd::{S2BddConfig, S2BddResult};
+use netrel_s2bdd::S2BddResult;
 use netrel_ugraph::{GraphError, UncertainGraph, VertexId};
+use serde::{Serialize, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -117,10 +120,34 @@ impl EngineConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GraphId(usize);
 
-/// One reliability query: a semantics, a terminal set, and the full `Pro`
-/// configuration.
+/// How stage 1 picks the solver of each decomposed part.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Routing {
+    /// Every part runs the query's own configuration: `config.s2bdd` (the
+    /// paper's `Pro` with width `w` and `s` samples) on connectivity parts;
+    /// on d-hop parts, exact enumeration up to
+    /// [`DHOP_EXACT_EDGE_LIMIT`](netrel_core::DHOP_EXACT_EDGE_LIMIT) edges
+    /// and hop-bounded sampling with the same sample budget beyond. Answers
+    /// carry no confidence interval, routes, or trace.
+    Fixed,
+    /// The adaptive [`planner`] routes each part under `budget`. The
+    /// width/samples knobs of `config.s2bdd` are advisory only — the
+    /// planner overrides them per part from its cost model; the estimator,
+    /// edge order, merge rule, and seed are honored. Answers carry a
+    /// confidence interval and the per-part routes.
+    Planned {
+        /// Per-query resource budget.
+        budget: PlanBudget,
+        /// Return a [`QueryTrace`] span tree with the answer. Tracing never
+        /// changes the answer — it reads clocks, never an RNG.
+        trace: bool,
+    },
+}
+
+/// One reliability query: a semantics, a terminal set, the full `Pro`
+/// configuration, and the [`Routing`] policy that picks each part's solver.
 #[derive(Clone, Debug)]
-pub struct ReliabilityQuery {
+pub struct Query {
     /// What the query computes (defaults to k-terminal connectivity).
     pub semantics: SemanticsSpec,
     /// Terminal vertices, interpreted per the semantics (connect-all for
@@ -130,110 +157,58 @@ pub struct ReliabilityQuery {
     /// Solver configuration. `config.parallel_parts` is ignored: the engine
     /// schedules parts across the whole batch itself.
     pub config: ProConfig,
+    /// How each part's solver is chosen.
+    pub routing: Routing,
 }
 
-impl ReliabilityQuery {
+impl Query {
     /// A k-terminal query with the default `Pro` configuration.
     pub fn new(terminals: Vec<VertexId>) -> Self {
-        ReliabilityQuery {
-            semantics: SemanticsSpec::default(),
-            terminals,
-            config: ProConfig::default(),
-        }
+        Self::with_config(terminals, ProConfig::default())
     }
 
     /// A k-terminal query with an explicit configuration.
     pub fn with_config(terminals: Vec<VertexId>, config: ProConfig) -> Self {
-        ReliabilityQuery {
-            semantics: SemanticsSpec::default(),
-            terminals,
-            config,
-        }
+        Self::with_semantics(SemanticsSpec::default(), terminals, config)
     }
 
-    /// A query under an explicit semantics.
+    /// A query under an explicit semantics, with [`Routing::Fixed`].
     pub fn with_semantics(
         semantics: SemanticsSpec,
         terminals: Vec<VertexId>,
         config: ProConfig,
     ) -> Self {
-        ReliabilityQuery {
+        Query {
             semantics,
             terminals,
             config,
-        }
-    }
-}
-
-/// One *planned* reliability query: a terminal set, the base solver
-/// configuration, and the [`PlanBudget`] the adaptive planner routes under.
-///
-/// Unlike [`ReliabilityQuery`], the width/samples knobs of `config.s2bdd`
-/// are advisory only — the planner overrides them per part according to its
-/// cost model; the estimator, edge order, merge rule, and seed are honored.
-#[derive(Clone, Debug)]
-pub struct PlannedQuery {
-    /// What the query computes (defaults to k-terminal connectivity).
-    pub semantics: SemanticsSpec,
-    /// Terminal vertices, interpreted per the semantics (see
-    /// [`ReliabilityQuery::terminals`]).
-    pub terminals: Vec<VertexId>,
-    /// Base solver configuration (seed, estimator, order, merge rule).
-    pub config: ProConfig,
-    /// Per-query resource budget.
-    pub budget: PlanBudget,
-    /// Request a [`QueryTrace`] span tree with the answer (see
-    /// [`PlannedQuery::with_trace`]). Tracing never changes the answer —
-    /// only [`ReliabilityAnswer::trace`].
-    pub trace: bool,
-}
-
-impl PlannedQuery {
-    /// A planned k-terminal query with the default `Pro` base configuration.
-    pub fn new(terminals: Vec<VertexId>, budget: PlanBudget) -> Self {
-        PlannedQuery {
-            semantics: SemanticsSpec::default(),
-            terminals,
-            config: ProConfig::default(),
-            budget,
-            trace: false,
+            routing: Routing::Fixed,
         }
     }
 
-    /// A planned k-terminal query with an explicit base configuration.
-    pub fn with_config(terminals: Vec<VertexId>, config: ProConfig, budget: PlanBudget) -> Self {
-        PlannedQuery {
-            semantics: SemanticsSpec::default(),
-            terminals,
-            config,
-            budget,
-            trace: false,
+    /// Route this query through the adaptive planner under `budget`
+    /// (untraced).
+    ///
+    /// ```
+    /// use netrel_engine::{Engine, EngineConfig, PlanBudget, Query};
+    /// use netrel_ugraph::UncertainGraph;
+    ///
+    /// let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9), (3, 0, 0.7)]).unwrap();
+    /// let mut engine = Engine::new(EngineConfig::default());
+    /// let id = engine.register("cycle", g);
+    /// let q = Query::new(vec![0, 2]).planned(PlanBudget::default());
+    /// let a = engine.run_batch(id, &[q]).unwrap().remove(0).unwrap();
+    /// assert!(a.exact, "a 4-cycle fits any sane node budget");
+    /// assert!(a.ci.unwrap().contains(a.estimate));
+    /// ```
+    pub fn planned(self, budget: PlanBudget) -> Self {
+        Query {
+            routing: Routing::Planned {
+                budget,
+                trace: false,
+            },
+            ..self
         }
-    }
-
-    /// A planned query under an explicit semantics.
-    pub fn with_semantics(
-        semantics: SemanticsSpec,
-        terminals: Vec<VertexId>,
-        config: ProConfig,
-        budget: PlanBudget,
-    ) -> Self {
-        PlannedQuery {
-            semantics,
-            terminals,
-            config,
-            budget,
-            trace: false,
-        }
-    }
-
-    /// Opt this query into span tracing: the answer's
-    /// [`ReliabilityAnswer::trace`] carries the full span tree (plan,
-    /// route, cache lookup, per-part solves, combine). Tracing is
-    /// bit-invariant — it reads clocks, never an RNG.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
     }
 }
 
@@ -263,68 +238,10 @@ impl From<GraphError> for EngineError {
     }
 }
 
-/// Answer to one query — the fields of a `ProResult` plus cache telemetry,
-/// serializable for the JSON service.
-#[derive(Clone, Debug, serde::Serialize)]
-pub struct QueryAnswer {
-    /// The semantics this answer computed.
-    pub semantics: SemanticsSpec,
-    /// Estimated value `R̂[G, T]` under the semantics (a probability for
-    /// all connectivity variants, an expected count for reach-set).
-    pub estimate: f64,
-    /// Proven lower bound.
-    pub lower_bound: f64,
-    /// Proven upper bound.
-    pub upper_bound: f64,
-    /// The estimate is the exact reliability.
-    pub exact: bool,
-    /// Bridge-probability factor from decomposition.
-    pub pb: f64,
-    /// Total samples across all parts, cached or fresh (a cached part
-    /// reports the samples of its original solve, keeping this field equal
-    /// to the one-shot `ProResult`'s).
-    pub samples_used: usize,
-    /// Variance of the product estimator.
-    pub variance_estimate: f64,
-    /// Preprocessing statistics.
-    pub preprocess_stats: netrel_preprocess::PreprocessStats,
-    /// Per-part solver results, in part order (cached or fresh).
-    pub parts: Vec<S2BddResult>,
-    /// Parts of this query served from the plan cache.
-    pub cache_hits: usize,
-    /// Parts of this query that required a solve (or joined an identical
-    /// in-batch job).
-    pub cache_misses: usize,
-}
-
-impl QueryAnswer {
-    fn from_pro(
-        semantics: SemanticsSpec,
-        r: ProResult,
-        cache_hits: usize,
-        cache_misses: usize,
-    ) -> Self {
-        QueryAnswer {
-            semantics,
-            estimate: r.estimate,
-            lower_bound: r.lower_bound,
-            upper_bound: r.upper_bound,
-            exact: r.exact,
-            pb: r.pb,
-            samples_used: r.samples_used,
-            variance_estimate: r.variance_estimate,
-            preprocess_stats: r.preprocess_stats,
-            parts: r.parts,
-            cache_hits,
-            cache_misses,
-        }
-    }
-}
-
-/// Answer to one *planned* query: the recombined estimate with its proven
-/// bounds, the exactness status, a confidence interval, and the per-part
-/// routing decisions. The exactness/CI contract is specified in
-/// `DESIGN.md` §9:
+/// Answer to one query: the recombined estimate with its proven bounds,
+/// the exactness status, and cache telemetry; under [`Routing::Planned`]
+/// also a confidence interval, the per-part routes, and the optional trace.
+/// The exactness/CI contract is specified in `DESIGN.md` §9:
 ///
 /// * `exact == true` — every part was solved exactly; `estimate` **is**
 ///   `R[G, T]` (up to f64 rounding of the recombination product) and the CI
@@ -337,11 +254,13 @@ impl QueryAnswer {
 ///   to zero (so an estimated answer never claims certainty), intersected
 ///   with the proven bounds. The interval lives in the semantics' value
 ///   range (`[0, 1]` for probabilities, `[0, |V|]` for reach-set).
-#[derive(Clone, Debug, serde::Serialize)]
+#[derive(Clone, Debug)]
 pub struct ReliabilityAnswer {
     /// The semantics this answer computed.
     pub semantics: SemanticsSpec,
-    /// Estimated (or exact) value `R̂[G, T]` under the semantics.
+    /// Estimated (or exact) value `R̂[G, T]` under the semantics (a
+    /// probability for all connectivity variants, an expected count for
+    /// reach-set).
     pub estimate: f64,
     /// Proven lower bound (product of per-part proven lower bounds × `p_b`).
     pub lower_bound: f64,
@@ -349,110 +268,120 @@ pub struct ReliabilityAnswer {
     pub upper_bound: f64,
     /// Whether the estimate is the exact reliability.
     pub exact: bool,
-    /// Confidence interval per the §9 contract (degenerate when exact).
-    pub ci: ConfidenceInterval,
+    /// Confidence interval per the §9 contract (degenerate when exact);
+    /// `None` exactly when the query ran under [`Routing::Fixed`].
+    pub ci: Option<ConfidenceInterval>,
     /// Bridge-probability factor from decomposition.
     pub pb: f64,
-    /// Total samples drawn across all parts (cached or fresh).
+    /// Total samples across all parts, cached or fresh (a cached part
+    /// reports the samples of its original solve, keeping this field equal
+    /// to the one-shot `ProResult`'s).
     pub samples_used: usize,
     /// Variance of the product estimator.
     pub variance_estimate: f64,
     /// Preprocessing statistics.
     pub preprocess_stats: netrel_preprocess::PreprocessStats,
-    /// Per-part solver results, in part order.
+    /// Per-part solver results, in part order (cached or fresh).
     pub parts: Vec<S2BddResult>,
-    /// Route the planner chose for each part, in part order.
+    /// Route the planner chose for each part, in part order (empty under
+    /// [`Routing::Fixed`]).
     pub routes: Vec<Route>,
     /// Parts of this query served from the plan cache.
     pub cache_hits: usize,
     /// Parts of this query that required a solve (or joined an identical
     /// in-batch job).
     pub cache_misses: usize,
-    /// Span tree of this query's execution, present when tracing was
-    /// requested ([`PlannedQuery::with_trace`] or `trace: true` on the
-    /// protocol); `None` otherwise.
+    /// Span tree of this query's execution, present when the query asked
+    /// for it (`Routing::Planned { trace: true, .. }`, or `trace: true` on
+    /// the protocol); `None` otherwise.
     pub trace: Option<QueryTrace>,
 }
 
-impl ReliabilityAnswer {
-    fn from_assembled(
-        semantics: SemanticsSpec,
-        a: Assembled,
-        budget: &PlanBudget,
-        value_cap: f64,
-    ) -> Self {
-        let Assembled {
-            pro: r,
-            routes,
-            cache_hits: hits,
-            cache_misses: misses,
-            trace,
-        } = a;
-        // `value_cap` is the semantics' `value_upper`: 1 for probabilities,
-        // `|V|` for reach-set. The probability path goes through `normal_ci`
-        // unchanged so k-terminal answers stay bit-identical to the
-        // pre-semantics engine.
-        let ci = if r.exact {
-            ConfidenceInterval {
-                lower: r.estimate.clamp(0.0, value_cap),
-                upper: r.estimate.clamp(0.0, value_cap),
-                level: budget.confidence,
-            }
-        } else {
-            let mut ci = if value_cap <= 1.0 {
-                normal_ci(r.estimate, r.variance_estimate, budget.confidence)
-            } else {
-                let sd = if r.variance_estimate.is_finite() && r.variance_estimate > 0.0 {
-                    r.variance_estimate.sqrt()
-                } else {
-                    0.0
-                };
-                let half = budget.confidence.z() * sd;
-                ConfidenceInterval {
-                    lower: (r.estimate - half).clamp(0.0, value_cap),
-                    upper: (r.estimate + half).clamp(0.0, value_cap),
-                    level: budget.confidence,
-                }
-            };
-            // Degenerate-variance guard, applied per part: a sampled part
-            // whose draws all agreed (all hits or all misses) reports Wald
-            // variance 0 and would enter the Theorem-4 product as a
-            // variance-free constant, letting the interval claim certainty
-            // it does not have — even when other parts contribute variance.
-            // Widen by the rule-of-three envelope `3/sᵢ` (the classic 95%
-            // bound for zero observed failures) for each such part; since
-            // part estimates multiply within [0, 1], the additive slack is
-            // conservative.
-            let slack: f64 = r
-                .parts
-                .iter()
-                .filter(|p| !p.exact && p.samples_used > 0 && p.variance_estimate <= 0.0)
-                .map(|p| 3.0 / p.samples_used as f64)
-                .sum();
-            if slack > 0.0 {
-                ci.lower = (ci.lower - slack).max(0.0);
-                ci.upper = (ci.upper + slack).min(value_cap);
-            }
-            ci.clamp_to(r.lower_bound, r.upper_bound)
-        };
-        ReliabilityAnswer {
-            semantics,
-            estimate: r.estimate,
-            lower_bound: r.lower_bound,
-            upper_bound: r.upper_bound,
-            exact: r.exact,
-            ci,
-            pb: r.pb,
-            samples_used: r.samples_used,
-            variance_estimate: r.variance_estimate,
-            preprocess_stats: r.preprocess_stats,
-            parts: r.parts,
-            routes,
-            cache_hits: hits,
-            cache_misses: misses,
-            trace,
+// Manual impl: the vendored serde derive cannot skip fields. A fixed-route
+// answer renders the classic wire shape (no `ci`, `routes`, or `trace`); a
+// planned one renders all three, `trace` as `null` when untraced.
+impl Serialize for ReliabilityAnswer {
+    fn to_value(&self) -> Value {
+        let planned = self.ci.is_some();
+        let mut fields = Vec::with_capacity(15);
+        let mut put = |key: &str, value: Value| fields.push((key.to_string(), value));
+        put("semantics", self.semantics.to_value());
+        put("estimate", self.estimate.to_value());
+        put("lower_bound", self.lower_bound.to_value());
+        put("upper_bound", self.upper_bound.to_value());
+        put("exact", self.exact.to_value());
+        if let Some(ci) = &self.ci {
+            put("ci", ci.to_value());
         }
+        put("pb", self.pb.to_value());
+        put("samples_used", self.samples_used.to_value());
+        put("variance_estimate", self.variance_estimate.to_value());
+        put("preprocess_stats", self.preprocess_stats.to_value());
+        put("parts", self.parts.to_value());
+        if planned {
+            put("routes", self.routes.to_value());
+        }
+        put("cache_hits", self.cache_hits.to_value());
+        put("cache_misses", self.cache_misses.to_value());
+        if planned {
+            put("trace", self.trace.to_value());
+        }
+        Value::Map(fields)
     }
+}
+
+/// The §9 confidence interval of a recombined estimate at `level`, in the
+/// semantics' value range `[0, value_cap]`.
+fn confidence_interval(
+    r: &ProResult,
+    level: ConfidenceLevel,
+    value_cap: f64,
+) -> ConfidenceInterval {
+    // `value_cap` is the semantics' `value_upper`: 1 for probabilities,
+    // `|V|` for reach-set. The probability path goes through `normal_ci`
+    // unchanged so k-terminal answers stay bit-identical to the
+    // pre-semantics engine.
+    if r.exact {
+        return ConfidenceInterval {
+            lower: r.estimate.clamp(0.0, value_cap),
+            upper: r.estimate.clamp(0.0, value_cap),
+            level,
+        };
+    }
+    let mut ci = if value_cap <= 1.0 {
+        normal_ci(r.estimate, r.variance_estimate, level)
+    } else {
+        let sd = if r.variance_estimate.is_finite() && r.variance_estimate > 0.0 {
+            r.variance_estimate.sqrt()
+        } else {
+            0.0
+        };
+        let half = level.z() * sd;
+        ConfidenceInterval {
+            lower: (r.estimate - half).clamp(0.0, value_cap),
+            upper: (r.estimate + half).clamp(0.0, value_cap),
+            level,
+        }
+    };
+    // Degenerate-variance guard, applied per part: a sampled part whose
+    // draws all agreed (all hits or all misses) reports Wald variance 0 and
+    // would enter the Theorem-4 product as a variance-free constant,
+    // letting the interval claim certainty it does not have — even when
+    // other parts contribute variance. Widen by the rule-of-three envelope
+    // `3/sᵢ` (the classic 95% bound for zero observed failures) for each
+    // such part; since part estimates multiply within [0, 1], the additive
+    // slack is conservative.
+    let slack: f64 = r
+        .parts
+        .iter()
+        .filter(|p| !p.exact && p.samples_used > 0 && p.variance_estimate <= 0.0)
+        .map(|p| 3.0 / p.samples_used as f64)
+        .sum();
+    if slack > 0.0 {
+        ci.lower = (ci.lower - slack).max(0.0);
+        ci.upper = (ci.upper + slack).min(value_cap);
+    }
+    ci.clamp_to(r.lower_bound, r.upper_bound)
 }
 
 struct RegisteredGraph {
@@ -499,7 +428,7 @@ pub struct GraphStats {
 }
 
 /// The batched multi-query reliability engine. See the crate docs for the
-/// pipeline; [`Engine::run_batch`] is the main entry point.
+/// pipeline; [`Engine::run_batch`] is the entry point.
 pub struct Engine {
     cfg: EngineConfig,
     graphs: Vec<RegisteredGraph>,
@@ -525,14 +454,17 @@ enum PartSource {
 }
 
 struct PreparedQuery {
+    /// The semantics the query asked for (echoed in the answer).
+    semantics: SemanticsSpec,
     /// The semantics' decomposition of the query (parts, groups, offset).
     plan: SemanticsPlan,
-    /// One materialized solver per part (the classic path mirrors
-    /// `solve_semantics_part`'s dispatch; the planned path routes through
-    /// the cost model).
+    /// One materialized solver per part, chosen by the routing policy.
     solvers: Vec<PartSolver>,
-    /// Route per part — empty on the classic path.
+    /// Route per part — empty under [`Routing::Fixed`].
     routes: Vec<Route>,
+    /// Level and value-range cap of the answer's confidence interval —
+    /// `None` under [`Routing::Fixed`], whose answers carry no CI.
+    ci: Option<(ConfidenceLevel, f64)>,
     /// One [`PlanKey`] per part, built outside the cache lock and reused
     /// for the post-solve insert (the single key-derivation site).
     keys: Vec<PlanKey>,
@@ -543,39 +475,6 @@ struct PreparedQuery {
     /// recorded plan/preprocess spans into it) through execution; `None`
     /// when the query did not opt into tracing.
     trace: Option<TraceBuilder>,
-}
-
-/// A recombined query outcome plus its routing/caching telemetry — the
-/// common product of the classic and planned paths.
-struct Assembled {
-    pro: ProResult,
-    routes: Vec<Route>,
-    cache_hits: usize,
-    cache_misses: usize,
-    trace: Option<QueryTrace>,
-}
-
-/// Materialize the classic-path (non-planned) solver for one part,
-/// mirroring `solve_semantics_part`'s dispatch exactly so engine answers
-/// stay bit-identical to the one-shot pipeline: the configured S2BDD for
-/// connectivity parts; for d-hop parts, exact enumeration up to
-/// [`DHOP_EXACT_EDGE_LIMIT`] edges and hop-bounded sampling (same sample
-/// budget, estimator, and per-part seed) beyond. Making the split explicit
-/// here — rather than hiding it inside an opaque `S2Bdd` solver — keeps the
-/// [`PlanKey`] honest about what actually ran.
-fn classic_solver(part: &SemPart, base: S2BddConfig, part_index: usize) -> PartSolver {
-    let cfg = part_s2bdd_config(base, part_index);
-    match part.computation {
-        PartComputation::Connectivity => PartSolver::S2Bdd(cfg),
-        PartComputation::DHop { .. } if part.graph.num_edges() <= DHOP_EXACT_EDGE_LIMIT => {
-            PartSolver::Enumeration
-        }
-        PartComputation::DHop { .. } => PartSolver::Sampling {
-            samples: cfg.samples,
-            estimator: cfg.estimator,
-            seed: cfg.seed,
-        },
-    }
 }
 
 impl Engine {
@@ -649,183 +548,124 @@ impl Engine {
     }
 
     /// Answer one query (a one-element batch).
-    pub fn run(&self, id: GraphId, query: &ReliabilityQuery) -> Result<QueryAnswer, EngineError> {
+    pub fn run(&self, id: GraphId, query: &Query) -> Result<ReliabilityAnswer, EngineError> {
         self.run_batch(id, std::slice::from_ref(query))?
             .pop()
             .expect("one answer per query")
     }
 
-    /// Answer a batch of queries against one registered graph.
+    /// Answer a batch of queries against one registered graph. Queries may
+    /// mix routing policies; each is answered as if it ran alone.
     ///
     /// The outer `Result` fails only for an unknown [`GraphId`]; per-query
     /// failures (e.g. out-of-range terminals) come back in their slot so one
-    /// bad query cannot poison a batch. Answers are bit-identical to calling
+    /// bad query cannot poison a batch. Answers are deterministic: budgets
+    /// are folded into solver configurations before solving, so batch
+    /// composition, cache state, and worker count never change a result.
+    /// Under [`Routing::Fixed`] they are bit-identical to calling
     /// [`semantics_reliability`](netrel_core::semantics_reliability) — and
     /// so, for the default k-terminal semantics,
     /// [`pro_reliability`](netrel_core::pro_reliability) — per query with
-    /// the same configuration, independent of batch composition, cache
-    /// state, and worker count.
+    /// the same configuration.
     ///
     /// ```
-    /// use netrel_engine::{Engine, EngineConfig, ReliabilityQuery};
+    /// use netrel_engine::{Engine, EngineConfig, PlanBudget, Query};
     /// use netrel_ugraph::UncertainGraph;
     ///
     /// let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9)]).unwrap();
     /// let mut engine = Engine::new(EngineConfig::default());
     /// let id = engine.register("path", g);
-    /// let queries = [ReliabilityQuery::new(vec![0, 3]), ReliabilityQuery::new(vec![1, 2])];
+    /// let queries = [
+    ///     Query::new(vec![0, 3]),
+    ///     Query::new(vec![1, 2]).planned(PlanBudget::default()),
+    /// ];
     /// let answers = engine.run_batch(id, &queries).unwrap();
     /// assert_eq!(answers.len(), 2);
     /// let a = answers[0].as_ref().unwrap();
     /// // A path is all bridges: preprocessing resolves it exactly.
     /// assert!(a.exact);
     /// assert!((a.estimate - 0.9 * 0.8 * 0.9).abs() < 1e-12);
+    /// // The planned query routes its small parts exactly and also carries
+    /// // a (degenerate) confidence interval.
+    /// let b = answers[1].as_ref().unwrap();
+    /// assert!(b.exact);
+    /// assert!(b.ci.unwrap().contains(b.estimate));
     /// ```
     pub fn run_batch(
         &self,
         id: GraphId,
-        queries: &[ReliabilityQuery],
-    ) -> Result<Vec<Result<QueryAnswer, EngineError>>, EngineError> {
-        let rg = self.registered(id)?;
-        let metrics = self.obs.metrics();
-
-        // Stage 1 (classic): semantics planning per query (the
-        // terminal-independent structure is shared via `rg.index`); every
-        // part is solved by the deterministic route with its per-part seed.
-        let prepared: Vec<Result<PreparedQuery, EngineError>> = queries
-            .iter()
-            .map(|q| {
-                let t0 = metrics.map(|_| Instant::now());
-                let plan = q.semantics.semantics().plan(
-                    &rg.graph,
-                    &rg.index,
-                    &q.terminals,
-                    q.config.preprocess,
-                )?;
-                if let (Some(m), Some(t0)) = (metrics, t0) {
-                    m.plan_seconds.observe_duration(t0.elapsed());
-                    m.queries_classic.inc();
-                    m.parts_per_query.observe_count(plan.parts.len());
-                }
-                let solvers: Vec<PartSolver> = plan
-                    .parts
-                    .iter()
-                    .enumerate()
-                    .map(|(pi, part)| classic_solver(part, q.config.s2bdd, pi))
-                    .collect();
-                Ok(Self::prepared(plan, solvers, Vec::new(), None))
-            })
-            .collect();
-
-        let answers = self
-            .execute(id.0, prepared)
-            .into_iter()
-            .zip(queries)
-            .map(|(a, q)| {
-                a.map(|a| QueryAnswer::from_pro(q.semantics, a.pro, a.cache_hits, a.cache_misses))
-            })
-            .collect();
-        Ok(answers)
-    }
-
-    /// Answer one planned query (a one-element batch of
-    /// [`run_planned_batch`](Engine::run_planned_batch)).
-    pub fn run_planned(
-        &self,
-        id: GraphId,
-        query: &PlannedQuery,
-    ) -> Result<ReliabilityAnswer, EngineError> {
-        self.run_planned_batch(id, std::slice::from_ref(query))?
-            .pop()
-            .expect("one answer per query")
-    }
-
-    /// Answer a batch of queries through the **adaptive planner**: each
-    /// decomposed part is routed to exact S2BDD, width-bounded S2BDD, or
-    /// flat sampling by the cost model in [`planner`], under the query's
-    /// [`PlanBudget`]. Answers carry exactness status, proven bounds, and a
-    /// confidence interval per the `DESIGN.md` §9 contract.
-    ///
-    /// Like [`run_batch`](Engine::run_batch), answers are deterministic:
-    /// the budget is folded into solver configurations before solving, so
-    /// batch composition, cache state, and worker count never change a
-    /// result.
-    ///
-    /// ```
-    /// use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery};
-    /// use netrel_ugraph::UncertainGraph;
-    ///
-    /// let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9), (3, 0, 0.7)]).unwrap();
-    /// let mut engine = Engine::new(EngineConfig::default());
-    /// let id = engine.register("cycle", g);
-    /// let q = PlannedQuery::new(vec![0, 2], PlanBudget::default());
-    /// let a = engine.run_planned_batch(id, &[q]).unwrap().remove(0).unwrap();
-    /// assert!(a.exact, "a 4-cycle fits any sane node budget");
-    /// assert!(a.ci.contains(a.estimate));
-    /// ```
-    pub fn run_planned_batch(
-        &self,
-        id: GraphId,
-        queries: &[PlannedQuery],
+        queries: &[Query],
     ) -> Result<Vec<Result<ReliabilityAnswer, EngineError>>, EngineError> {
         let rg = self.registered(id)?;
-        let prepared = self.prepare_planned(&rg.graph, &rg.index, queries);
-        let answers = self
-            .execute(id.0, prepared)
-            .into_iter()
-            .zip(queries)
-            .map(|(a, q)| {
-                a.map(|a| {
-                    ReliabilityAnswer::from_assembled(
-                        q.semantics,
-                        a,
-                        &q.budget,
-                        q.semantics.semantics().value_upper(&rg.graph),
-                    )
-                })
-            })
-            .collect();
-        Ok(answers)
+        Ok(self.answer(id.0, &rg.graph, &rg.index, queries))
     }
 
-    /// Stage 1 of the planned path against an explicit `(graph, index)`
-    /// pair: semantics planning, then the cost model on every part to
-    /// materialize its routed solver. A traced query runs planning with its
-    /// builder installed in the thread-local hook, so the core/preprocess
-    /// spans ("plan.*", "preprocess.*") nest under this query's root.
-    /// Factored out of [`run_planned_batch`](Engine::run_planned_batch) so
-    /// the what-if path ([`Engine::evaluate_with`]) can plan against a
-    /// hypothetical graph while sharing the execution pipeline (and its
-    /// structurally-keyed plan cache) unchanged.
-    fn prepare_planned(
+    /// Answer `queries` against an explicit `(graph, index)` pair, with
+    /// cache telemetry attributed to graph `owner`. Shared by
+    /// [`run_batch`](Engine::run_batch) and the what-if path
+    /// ([`Engine::evaluate_with`]), which plans against a hypothetical graph
+    /// while sharing the structurally-keyed plan cache unchanged.
+    fn answer(
+        &self,
+        owner: usize,
+        graph: &UncertainGraph,
+        index: &GraphIndex,
+        queries: &[Query],
+    ) -> Vec<Result<ReliabilityAnswer, EngineError>> {
+        let prepared = queries
+            .iter()
+            .map(|q| self.prepare(graph, index, q))
+            .collect();
+        self.execute(owner, prepared)
+    }
+
+    /// Stage 1: semantics planning, then one solver per part from the
+    /// query's routing policy — the query's own configuration under
+    /// [`Routing::Fixed`], the cost model under [`Routing::Planned`]. A
+    /// traced query runs planning with its builder installed in the
+    /// thread-local hook, so the core/preprocess spans ("plan.*",
+    /// "preprocess.*") nest under this query's root.
+    fn prepare(
         &self,
         graph: &UncertainGraph,
         index: &GraphIndex,
-        queries: &[PlannedQuery],
-    ) -> Vec<Result<PreparedQuery, EngineError>> {
+        q: &Query,
+    ) -> Result<PreparedQuery, EngineError> {
         let metrics = self.obs.metrics();
-        queries
-            .iter()
-            .map(|q| {
-                let t0 = metrics.map(|_| Instant::now());
-                if q.trace {
-                    obs_trace::install(TraceBuilder::new());
-                }
-                let plan_result =
-                    q.semantics
-                        .semantics()
-                        .plan(graph, index, &q.terminals, q.config.preprocess);
-                let mut tb = if q.trace { obs_trace::take() } else { None };
-                let plan = plan_result?; // a failed plan drops its trace
-                if let (Some(m), Some(t0)) = (metrics, t0) {
-                    m.plan_seconds.observe_duration(t0.elapsed());
-                    m.queries_planned.inc();
-                    m.parts_per_query.observe_count(plan.parts.len());
-                }
+        let t0 = metrics.map(|_| Instant::now());
+        let traced = matches!(q.routing, Routing::Planned { trace: true, .. });
+        if traced {
+            obs_trace::install(TraceBuilder::new());
+        }
+        let plan_result =
+            q.semantics
+                .semantics()
+                .plan(graph, index, &q.terminals, q.config.preprocess);
+        let mut tb = if traced { obs_trace::take() } else { None };
+        let plan = plan_result?; // a failed plan drops its trace
+        if let (Some(m), Some(t0)) = (metrics, t0) {
+            m.plan_seconds.observe_duration(t0.elapsed());
+            match q.routing {
+                Routing::Fixed => m.queries_classic.inc(),
+                Routing::Planned { .. } => m.queries_planned.inc(),
+            }
+            m.parts_per_query.observe_count(plan.parts.len());
+        }
+        let (solvers, routes, ci) = match q.routing {
+            Routing::Fixed => {
+                let solvers = plan
+                    .parts
+                    .iter()
+                    .enumerate()
+                    .map(|(pi, part)| planner::fixed_solver(part, q.config.s2bdd, pi))
+                    .collect();
+                (solvers, Vec::new(), None)
+            }
+            Routing::Planned { budget, .. } => {
                 // The wall-clock hint covers the whole query: split its
                 // allowance across the decomposition before routing.
-                let part_budget = q.budget.for_parts(plan.parts.len());
-                let route_span = tb.as_mut().map(|b| (b.open("route"), Instant::now()));
+                let part_budget = budget.for_parts(plan.parts.len());
+                let route_span = tb.as_mut().map(|b| b.open("route"));
                 let plans: Vec<PartPlan> = plan
                     .parts
                     .iter()
@@ -842,16 +682,37 @@ impl Engine {
                         }
                     }
                 }
-                if let (Some(b), Some((Some(id), _))) = (tb.as_mut(), route_span) {
+                if let (Some(b), Some(Some(id))) = (tb.as_mut(), route_span) {
                     let names: Vec<&str> = plans.iter().map(|p| p.route.name()).collect();
                     b.attr(id, "routes", names.join(","));
                     b.close(id);
                 }
-                let solvers = plans.iter().map(|p| p.solver).collect();
-                let routes = plans.iter().map(|p| p.route).collect();
-                Ok(Self::prepared(plan, solvers, routes, tb))
-            })
-            .collect()
+                let value_cap = q.semantics.semantics().value_upper(graph);
+                (
+                    plans.iter().map(|p| p.solver).collect(),
+                    plans.iter().map(|p| p.route).collect(),
+                    Some((budget.confidence, value_cap)),
+                )
+            }
+        };
+        let keys = plan
+            .parts
+            .iter()
+            .zip(&solvers)
+            .map(|(part, &solver)| PlanKey::for_part(part, solver))
+            .collect();
+        Ok(PreparedQuery {
+            semantics: q.semantics,
+            plan,
+            solvers,
+            routes,
+            ci,
+            keys,
+            sources: Vec::new(),
+            cache_hits: 0,
+            cache_misses: 0,
+            trace: tb,
+        })
     }
 
     /// The catalogue counter a routed part increments. Enumeration is a
@@ -874,43 +735,15 @@ impl Engine {
             .ok_or_else(|| EngineError::UnknownGraph(format!("#{}", id.0)))
     }
 
-    /// Assemble a [`PreparedQuery`] from its parts, deriving the cache key
-    /// of every part from its materialized solver (the single
-    /// key-derivation site).
-    fn prepared(
-        plan: SemanticsPlan,
-        solvers: Vec<PartSolver>,
-        routes: Vec<Route>,
-        trace: Option<TraceBuilder>,
-    ) -> PreparedQuery {
-        let keys = plan
-            .parts
-            .iter()
-            .zip(&solvers)
-            .map(|(part, &solver)| PlanKey::for_part(part, solver))
-            .collect();
-        PreparedQuery {
-            plan,
-            solvers,
-            routes,
-            keys,
-            sources: Vec::new(),
-            cache_hits: 0,
-            cache_misses: 0,
-            trace,
-        }
-    }
-
-    /// The shared stage-2/3 pipeline behind both batch entry points:
-    /// plan-cache lookup and in-batch dedup, parallel solving of the
-    /// remaining jobs, cache publication, and per-query recombination with
-    /// the exact `combine_semantics_plan` composition the one-shot
-    /// `semantics_reliability` uses.
+    /// Stages 2 and 3: plan-cache lookup and in-batch dedup, parallel
+    /// solving of the remaining jobs, cache publication, and per-query
+    /// recombination with the exact `combine_semantics_plan` composition
+    /// the one-shot `semantics_reliability` uses.
     fn execute(
         &self,
         owner: usize,
         mut prepared: Vec<Result<PreparedQuery, EngineError>>,
-    ) -> Vec<Result<Assembled, EngineError>> {
+    ) -> Vec<Result<ReliabilityAnswer, EngineError>> {
         let metrics = self.obs.metrics();
         if let Some(m) = metrics {
             m.batches.inc();
@@ -1067,7 +900,7 @@ impl Engine {
         }
 
         let mut errors = 0u64;
-        let out: Vec<Result<Assembled, EngineError>> = prepared
+        let out: Vec<Result<ReliabilityAnswer, EngineError>> = prepared
             .into_iter()
             .map(|prep| {
                 let mut prep = prep?;
@@ -1118,8 +951,20 @@ impl Engine {
                 if let (Some(m), Some(t0)) = (metrics, t0) {
                     m.combine_seconds.observe_duration(t0.elapsed());
                 }
-                Ok(Assembled {
-                    pro,
+                Ok(ReliabilityAnswer {
+                    semantics: prep.semantics,
+                    estimate: pro.estimate,
+                    lower_bound: pro.lower_bound,
+                    upper_bound: pro.upper_bound,
+                    exact: pro.exact,
+                    ci: prep
+                        .ci
+                        .map(|(level, cap)| confidence_interval(&pro, level, cap)),
+                    pb: pro.pb,
+                    samples_used: pro.samples_used,
+                    variance_estimate: pro.variance_estimate,
+                    preprocess_stats: pro.preprocess_stats,
+                    parts: pro.parts,
                     routes: prep.routes,
                     cache_hits: prep.cache_hits,
                     cache_misses: prep.cache_misses,
@@ -1223,9 +1068,9 @@ mod tests {
         let g = lollipop();
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("lollipop", g.clone());
-        let queries: Vec<ReliabilityQuery> = [vec![0, 4], vec![0, 7], vec![1, 4, 6], vec![0, 4]]
+        let queries: Vec<Query> = [vec![0, 4], vec![0, 7], vec![1, 4, 6], vec![0, 4]]
             .into_iter()
-            .map(|t| ReliabilityQuery::with_config(t, sampling_cfg(11)))
+            .map(|t| Query::with_config(t, sampling_cfg(11)))
             .collect();
         let answers = engine.run_batch(id, &queries).unwrap();
         for (q, a) in queries.iter().zip(&answers) {
@@ -1254,7 +1099,7 @@ mod tests {
         let g = lollipop();
         let mut engine = Engine::new(EngineConfig::sequential());
         let id = engine.register("lollipop", g);
-        let q = [ReliabilityQuery::with_config(vec![0, 7], sampling_cfg(3))];
+        let q = [Query::with_config(vec![0, 7], sampling_cfg(3))];
         let a1 = engine.run_batch(id, &q).unwrap().remove(0).unwrap();
         let a2 = engine.run_batch(id, &q).unwrap().remove(0).unwrap();
         assert!(a1.cache_misses > 0);
@@ -1271,10 +1116,10 @@ mod tests {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("lollipop", g);
         let queries = [
-            ReliabilityQuery::new(vec![0, 4]),
-            ReliabilityQuery::new(vec![0, 99]), // out of range
-            ReliabilityQuery::new(vec![]),      // empty
-            ReliabilityQuery::new(vec![0, 7]),
+            Query::new(vec![0, 4]),
+            Query::new(vec![0, 99]), // out of range
+            Query::new(vec![]),      // empty
+            Query::new(vec![0, 7]),
         ];
         let answers = engine.run_batch(id, &queries).unwrap();
         assert!(answers[0].is_ok());
@@ -1296,9 +1141,9 @@ mod tests {
     #[test]
     fn worker_count_does_not_change_answers() {
         let g = lollipop();
-        let queries: Vec<ReliabilityQuery> = [vec![0, 7], vec![1, 4, 6], vec![0, 4]]
+        let queries: Vec<Query> = [vec![0, 7], vec![1, 4, 6], vec![0, 4]]
             .into_iter()
-            .map(|t| ReliabilityQuery::with_config(t, sampling_cfg(5)))
+            .map(|t| Query::with_config(t, sampling_cfg(5)))
             .collect();
         let mut seq = Engine::new(EngineConfig {
             workers: 1,
@@ -1324,7 +1169,7 @@ mod tests {
         let g = UncertainGraph::new(4, [(0, 1, 0.9), (2, 3, 0.9)]).unwrap();
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("disc", g);
-        let a = engine.run(id, &ReliabilityQuery::new(vec![0, 2])).unwrap();
+        let a = engine.run(id, &Query::new(vec![0, 2])).unwrap();
         assert_eq!(a.estimate, 0.0);
         assert!(a.exact);
     }
@@ -1340,12 +1185,15 @@ mod tests {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("lollipop", g.clone());
         for terminals in [vec![0, 4], vec![0, 7], vec![1, 4, 6]] {
-            let q = PlannedQuery::new(terminals.clone(), PlanBudget::default());
-            let a = engine.run_planned(id, &q).unwrap();
+            let q = Query::new(terminals.clone()).planned(PlanBudget::default());
+            let a = engine.run(id, &q).unwrap();
             assert!(a.routes.iter().all(|&r| r == Route::Exact), "{terminals:?}");
             assert!(a.exact);
             assert_eq!(a.samples_used, 0);
-            assert_eq!((a.ci.lower, a.ci.upper), (a.estimate, a.estimate));
+            assert_eq!(
+                (a.ci.unwrap().lower, a.ci.unwrap().upper),
+                (a.estimate, a.estimate)
+            );
             // Bit-identical to the one-shot exact Pro solve.
             let solo = pro_reliability(
                 &g,
@@ -1367,13 +1215,13 @@ mod tests {
         let g = clique(60);
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("clique", g);
-        let q = PlannedQuery::new(vec![0, 59], PlanBudget::default());
-        let a = engine.run_planned(id, &q).unwrap();
+        let q = Query::new(vec![0, 59]).planned(PlanBudget::default());
+        let a = engine.run(id, &q).unwrap();
         assert!(a.routes.contains(&Route::BitSampling), "{:?}", a.routes);
         assert!(!a.exact);
         assert!(a.samples_used > 0);
-        assert!(a.ci.contains(a.estimate));
-        assert!(a.ci.width() > 0.0 || a.variance_estimate == 0.0);
+        assert!(a.ci.unwrap().contains(a.estimate));
+        assert!(a.ci.unwrap().width() > 0.0 || a.variance_estimate == 0.0);
         assert!(a.lower_bound <= a.estimate && a.estimate <= a.upper_bound);
     }
 
@@ -1386,15 +1234,15 @@ mod tests {
         let g = clique(55);
         let mut warm = Engine::new(EngineConfig::default());
         let wid = warm.register("clique", g.clone());
-        let first = PlannedQuery::new(vec![0, 54], PlanBudget::default());
-        let second = PlannedQuery::new(vec![0, 30], PlanBudget::default());
-        let a1 = warm.run_planned(wid, &first).unwrap();
-        let a2 = warm.run_planned(wid, &second).unwrap();
+        let first = Query::new(vec![0, 54]).planned(PlanBudget::default());
+        let second = Query::new(vec![0, 30]).planned(PlanBudget::default());
+        let a1 = warm.run(wid, &first).unwrap();
+        let a2 = warm.run(wid, &second).unwrap();
         assert!(a1.routes.contains(&Route::BitSampling), "{:?}", a1.routes);
 
         let mut cold = Engine::new(EngineConfig::default());
         let cid = cold.register("clique", g);
-        let b2 = cold.run_planned(cid, &second).unwrap();
+        let b2 = cold.run(cid, &second).unwrap();
         assert_eq!(a2.estimate.to_bits(), b2.estimate.to_bits());
         assert_eq!(
             a2.variance_estimate.to_bits(),
@@ -1409,16 +1257,16 @@ mod tests {
         let g = clique(40);
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("clique", g.clone());
-        let q = [PlannedQuery::new(vec![0, 39], PlanBudget::default())];
-        let a1 = engine.run_planned_batch(id, &q).unwrap().remove(0).unwrap();
-        let a2 = engine.run_planned_batch(id, &q).unwrap().remove(0).unwrap();
+        let q = [Query::new(vec![0, 39]).planned(PlanBudget::default())];
+        let a1 = engine.run_batch(id, &q).unwrap().remove(0).unwrap();
+        let a2 = engine.run_batch(id, &q).unwrap().remove(0).unwrap();
         assert!(a1.cache_misses > 0);
         assert_eq!(a2.cache_misses, 0, "second run is served from the cache");
         assert_eq!(a1.estimate.to_bits(), a2.estimate.to_bits());
         // A separate engine (fresh cache, different worker count) agrees.
         let mut other = Engine::new(EngineConfig::sequential());
         let oid = other.register("clique", g);
-        let b = other.run_planned_batch(oid, &q).unwrap().remove(0).unwrap();
+        let b = other.run_batch(oid, &q).unwrap().remove(0).unwrap();
         assert_eq!(a1.estimate.to_bits(), b.estimate.to_bits());
         assert_eq!(a1.routes, b.routes);
     }
@@ -1437,10 +1285,10 @@ mod tests {
             ..Default::default()
         };
         let a = engine
-            .run_planned(id, &PlannedQuery::new(vec![0, 7], budget))
+            .run(id, &Query::new(vec![0, 7]).planned(budget))
             .unwrap();
         assert!(a.lower_bound <= a.estimate && a.estimate <= a.upper_bound);
-        assert!(a.ci.contains(a.estimate));
+        assert!(a.ci.unwrap().contains(a.estimate));
         let truth = netrel_bdd::brute_force_reliability(&g, &[0, 7]);
         assert!(a.lower_bound <= truth + 1e-12 && truth - 1e-12 <= a.upper_bound);
     }
@@ -1454,15 +1302,19 @@ mod tests {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("hot-clique", g);
         let a = engine
-            .run_planned(id, &PlannedQuery::new(vec![0, 49], PlanBudget::default()))
+            .run(id, &Query::new(vec![0, 49]).planned(PlanBudget::default()))
             .unwrap();
         assert!(!a.exact);
         assert_eq!(a.estimate, 1.0, "every draw connects");
         assert_eq!(a.variance_estimate, 0.0);
         let slack = 3.0 / a.samples_used as f64;
-        assert!((a.ci.lower - (1.0 - slack)).abs() < 1e-12, "{:?}", a.ci);
-        assert_eq!(a.ci.upper, 1.0);
-        assert!(a.ci.width() > 0.0);
+        assert!(
+            (a.ci.unwrap().lower - (1.0 - slack)).abs() < 1e-12,
+            "{:?}",
+            a.ci
+        );
+        assert_eq!(a.ci.unwrap().upper, 1.0);
+        assert!(a.ci.unwrap().width() > 0.0);
     }
 
     /// Complete graph on 7 vertices (21 edges — above the d-hop exact
@@ -1492,9 +1344,9 @@ mod tests {
             (SemanticsSpec::DHop { d: 2 }, vec![0, 7]), // trivially zero
             (SemanticsSpec::ReachSet, vec![3]),
         ];
-        let queries: Vec<ReliabilityQuery> = cases
+        let queries: Vec<Query> = cases
             .iter()
-            .map(|(s, t)| ReliabilityQuery::with_semantics(*s, t.clone(), sampling_cfg(11)))
+            .map(|(s, t)| Query::with_semantics(*s, t.clone(), sampling_cfg(11)))
             .collect();
         let answers = engine.run_batch(id, &queries).unwrap();
         for (q, a) in queries.iter().zip(&answers) {
@@ -1530,10 +1382,7 @@ mod tests {
         for (spec, t) in cases {
             let truth = netrel_core::oracle_value(&g, spec, &t).unwrap();
             let a = engine
-                .run(
-                    id,
-                    &ReliabilityQuery::with_semantics(spec, t, ProConfig::default()),
-                )
+                .run(id, &Query::with_semantics(spec, t, ProConfig::default()))
                 .unwrap();
             assert!(
                 (a.estimate - truth).abs() < 1e-9,
@@ -1545,17 +1394,13 @@ mod tests {
 
     #[test]
     fn wide_dhop_batch_matches_oneshot_bitwise() {
-        // 21 edges at d = 2: the classic path must take the hop-bounded
+        // 21 edges at d = 2: fixed routing must take the hop-bounded
         // sampling fallback, with the same per-part seed as the one-shot
         // pipeline.
         let g = k7();
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("k7", g.clone());
-        let q = ReliabilityQuery::with_semantics(
-            SemanticsSpec::DHop { d: 2 },
-            vec![0, 6],
-            sampling_cfg(9),
-        );
+        let q = Query::with_semantics(SemanticsSpec::DHop { d: 2 }, vec![0, 6], sampling_cfg(9));
         let a = engine.run(id, &q).unwrap();
         let solo =
             netrel_core::semantics_reliability(&g, q.semantics, &q.terminals, q.config).unwrap();
@@ -1571,20 +1416,19 @@ mod tests {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("lollipop", g.clone());
         let spec = SemanticsSpec::DHop { d: 6 };
-        let q = PlannedQuery::with_semantics(
-            spec,
-            vec![0, 7],
-            ProConfig::default(),
-            PlanBudget::default(),
-        );
-        let a = engine.run_planned(id, &q).unwrap();
+        let q = Query::with_semantics(spec, vec![0, 7], ProConfig::default())
+            .planned(PlanBudget::default());
+        let a = engine.run(id, &q).unwrap();
         assert!(
             a.routes.iter().all(|&r| r == Route::Exact),
             "{:?}",
             a.routes
         );
         assert!(a.exact);
-        assert_eq!((a.ci.lower, a.ci.upper), (a.estimate, a.estimate));
+        assert_eq!(
+            (a.ci.unwrap().lower, a.ci.unwrap().upper),
+            (a.estimate, a.estimate)
+        );
         let truth = netrel_core::oracle_value(&g, spec, &[0, 7]).unwrap();
         assert!((a.estimate - truth).abs() < 1e-9);
     }
@@ -1595,17 +1439,13 @@ mod tests {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("k7", g);
         let spec = SemanticsSpec::DHop { d: 2 };
-        let q = PlannedQuery::with_semantics(
-            spec,
-            vec![0, 6],
-            ProConfig::default(),
-            PlanBudget::default(),
-        );
-        let a = engine.run_planned(id, &q).unwrap();
+        let q = Query::with_semantics(spec, vec![0, 6], ProConfig::default())
+            .planned(PlanBudget::default());
+        let a = engine.run(id, &q).unwrap();
         assert!(a.routes.contains(&Route::BitSampling), "{:?}", a.routes);
         assert!(!a.exact);
         assert!(a.samples_used > 0);
-        assert!(a.ci.contains(a.estimate));
+        assert!(a.ci.unwrap().contains(a.estimate));
         assert_eq!(a.semantics, spec);
     }
 
@@ -1617,20 +1457,21 @@ mod tests {
         let g = netrel_datasets::clique_uniform(20, 0.9);
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("hot-clique", g);
-        let q = PlannedQuery::with_semantics(
-            SemanticsSpec::ReachSet,
-            vec![0],
-            ProConfig::default(),
-            PlanBudget::default(),
-        );
-        let a = engine.run_planned(id, &q).unwrap();
+        let q = Query::with_semantics(SemanticsSpec::ReachSet, vec![0], ProConfig::default())
+            .planned(PlanBudget::default());
+        let a = engine.run(id, &q).unwrap();
         assert!(
             a.estimate > 10.0,
             "estimate {} should be near 20",
             a.estimate
         );
-        assert!(a.ci.contains(a.estimate), "{:?} vs {}", a.ci, a.estimate);
-        assert!(a.ci.upper <= 20.0 + 1e-9);
+        assert!(
+            a.ci.unwrap().contains(a.estimate),
+            "{:?} vs {}",
+            a.ci,
+            a.estimate
+        );
+        assert!(a.ci.unwrap().upper <= 20.0 + 1e-9);
         assert!(a.upper_bound <= 20.0 + 1e-9);
     }
 
@@ -1644,9 +1485,9 @@ mod tests {
             ..Default::default()
         };
         let a = engine
-            .run_planned(id, &PlannedQuery::new(vec![0, 7], budget))
+            .run(id, &Query::new(vec![0, 7]).planned(budget))
             .unwrap();
         assert!(a.lower_bound <= a.estimate && a.estimate <= a.upper_bound);
-        assert!(a.ci.contains(a.estimate));
+        assert!(a.ci.unwrap().contains(a.estimate));
     }
 }

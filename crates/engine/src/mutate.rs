@@ -23,23 +23,23 @@
 //! DESIGN.md §13). The headline guarantee — enforced by the
 //! rebuild-equivalence property suite — is that a mutated engine answers
 //! every query bit-identically to a fresh engine built from the mutated
-//! graph, for all semantics, both solver paths, and any worker count.
+//! graph, for all semantics, both routing policies, and any worker count.
 //!
 //! On top of committed mutations sit two drivers:
 //!
-//! * [`Engine::evaluate_with`] answers a planned query against a
+//! * [`Engine::evaluate_with`] answers a query against a
 //!   *hypothetical* mutation set without committing anything — the
 //!   mutations are applied to a clone, a fresh index is built, and the
 //!   answer is bit-identical to committing the set and querying.
 //! * [`Engine::maximize_reliability`] runs the greedy reliability-
 //!   maximization loop ("which `k` upgrades help `s`–`t` most?"): each
-//!   round it what-if-evaluates every remaining candidate on top of the
+//!   round it what-if-evaluates (planned) every remaining candidate on top of the
 //!   already-chosen set and commits (to the *plan*, not the graph) the
 //!   argmax, ties broken toward the lowest candidate index. Because the
 //!   what-if path shares the engine's structurally-keyed plan cache,
 //!   overlapping candidate evaluations reuse each other's part solves.
 
-use crate::{Engine, EngineError, GraphId, PlanBudget, PlannedQuery, ReliabilityAnswer};
+use crate::{Engine, EngineError, GraphId, PlanBudget, Query, ReliabilityAnswer};
 use netrel_core::{ProConfig, SemanticsSpec};
 use netrel_preprocess::{
     patch_add_edge, patch_remove_edge, patch_update_prob, GraphIndex, IndexPatch,
@@ -290,12 +290,12 @@ impl Engine {
         Ok(&self.registered(id)?.journal)
     }
 
-    /// Answer a planned query against a **hypothetical** mutation set,
-    /// committing nothing: the mutations are applied in order to a clone
-    /// of the registered graph, a fresh index is built for it, and the
-    /// query runs through the normal planned pipeline. The answer is
-    /// bit-identical to committing the set and calling
-    /// [`run_planned`](Engine::run_planned) — the rebuild-equivalence
+    /// Answer a query against a **hypothetical** mutation set, committing
+    /// nothing: the mutations are applied in order to a clone of the
+    /// registered graph, a fresh index is built for it, and the query runs
+    /// through the normal pipeline under its own routing policy. The answer
+    /// is bit-identical to committing the set and calling
+    /// [`run`](Engine::run) — the rebuild-equivalence
     /// guarantee makes the committed index equal the fresh one, and the
     /// pipeline is deterministic in `(graph, index, query)`.
     ///
@@ -307,7 +307,7 @@ impl Engine {
         &self,
         id: GraphId,
         mutations: &[Mutation],
-        query: &PlannedQuery,
+        query: &Query,
     ) -> Result<ReliabilityAnswer, EngineError> {
         let rg = self.registered(id)?;
         let mut graph = rg.graph.clone();
@@ -318,25 +318,16 @@ impl Engine {
         if let Some(m) = self.obs.metrics() {
             m.whatif_queries.inc();
         }
-        let prepared = self.prepare_planned(&graph, &index, std::slice::from_ref(query));
-        let assembled = self
-            .execute(id.0, prepared)
+        self.answer(id.0, &graph, &index, std::slice::from_ref(query))
             .pop()
-            .expect("one result per query");
-        assembled.map(|a| {
-            ReliabilityAnswer::from_assembled(
-                query.semantics,
-                a,
-                &query.budget,
-                query.semantics.semantics().value_upper(&graph),
-            )
-        })
+            .expect("one answer per query")
     }
 
     /// Greedy reliability maximization: choose up to `k` of `candidates`
     /// to maximize the two-terminal reliability `R[s, t]`, evaluating
     /// every candidate hypothetically via [`evaluate_with`](Engine::evaluate_with)
-    /// and never committing to the registered graph.
+    /// as a query planned under `budget`, and never committing to the
+    /// registered graph.
     ///
     /// Each round evaluates the chosen set plus each remaining candidate
     /// (in candidate order, ids interpreted after the already-chosen
@@ -354,12 +345,9 @@ impl Engine {
         candidates: &[Mutation],
         budget: PlanBudget,
     ) -> Result<MaximizeResult, EngineError> {
-        let query = PlannedQuery::with_semantics(
-            SemanticsSpec::TwoTerminal,
-            vec![s, t],
-            ProConfig::default(),
-            budget,
-        );
+        let query =
+            Query::with_semantics(SemanticsSpec::TwoTerminal, vec![s, t], ProConfig::default())
+                .planned(budget);
         let baseline = self.evaluate_with(id, &[], &query)?.estimate;
         let mut chosen: Vec<usize> = Vec::new();
         let mut steps = Vec::new();
@@ -463,13 +451,9 @@ mod tests {
         let mut engine = Engine::with_recorder(EngineConfig::default(), Recorder::enabled());
         let id = engine.register("g", chorded_cycle());
         // Warm the cache, then mutate.
-        let q = PlannedQuery::with_semantics(
-            SemanticsSpec::TwoTerminal,
-            vec![0, 2],
-            ProConfig::default(),
-            PlanBudget::default(),
-        );
-        engine.run_planned(id, &q).unwrap();
+        let q = Query::with_semantics(SemanticsSpec::TwoTerminal, vec![0, 2], ProConfig::default())
+            .planned(PlanBudget::default());
+        engine.run(id, &q).unwrap();
         let added = engine.add_edge(id, 1, 3, 0.4).unwrap();
         assert_eq!(added.invalidated_plans, 0);
         assert_eq!(added.invalidated_worlds, 0);
@@ -487,12 +471,8 @@ mod tests {
     fn evaluate_with_rejects_inapplicable_sets_without_side_effects() {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register("g", chorded_cycle());
-        let q = PlannedQuery::with_semantics(
-            SemanticsSpec::TwoTerminal,
-            vec![0, 2],
-            ProConfig::default(),
-            PlanBudget::default(),
-        );
+        let q = Query::with_semantics(SemanticsSpec::TwoTerminal, vec![0, 2], ProConfig::default())
+            .planned(PlanBudget::default());
         let bad = [Mutation::RemoveEdge { edge: 99 }];
         assert!(engine.evaluate_with(id, &bad, &q).is_err());
         assert!(engine.mutation_journal(id).unwrap().is_empty());

@@ -35,22 +35,27 @@
 //! The exactness/CI contract of the answers produced through this module
 //! is specified in `DESIGN.md` §9.
 //!
+//! A query opts into the planner with [`Routing::Planned`](crate::Routing);
+//! under [`Routing::Fixed`](crate::Routing) every part runs the query's own
+//! configuration.
+//!
 //! ```
-//! use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery};
+//! use netrel_engine::{Engine, EngineConfig, PlanBudget, Query};
 //! use netrel_ugraph::UncertainGraph;
 //!
 //! let g = UncertainGraph::new(4, [(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.9), (3, 0, 0.7)]).unwrap();
 //! let mut engine = Engine::new(EngineConfig::default());
 //! let id = engine.register("demo", g);
 //! let a = engine
-//!     .run_planned(id, &PlannedQuery::new(vec![0, 2], PlanBudget::default()))
+//!     .run(id, &Query::new(vec![0, 2]).planned(PlanBudget::default()))
 //!     .unwrap();
 //! // Small sparse part: the planner takes the exact route.
 //! assert!(a.exact);
-//! assert_eq!((a.ci.lower, a.ci.upper), (a.estimate, a.estimate));
+//! let ci = a.ci.unwrap();
+//! assert_eq!((ci.lower, ci.upper), (a.estimate, a.estimate));
 //! ```
 
-use netrel_core::{part_s2bdd_config, PartComputation, SemPart};
+use netrel_core::{part_s2bdd_config, PartComputation, SemPart, DHOP_EXACT_EDGE_LIMIT};
 use netrel_numeric::ConfidenceLevel;
 use netrel_s2bdd::{EstimatorKind, S2BddConfig};
 use netrel_ugraph::ordering::FrontierPlan;
@@ -335,6 +340,29 @@ pub fn estimate_part(
         frontier_width: plan.max_width,
         layers: plan.layers(),
         predicted_nodes,
+    }
+}
+
+/// The solver of one part under [`Routing::Fixed`](crate::Routing), mirroring
+/// `solve_semantics_part`'s dispatch exactly so engine answers stay
+/// bit-identical to the one-shot pipeline: the configured S2BDD for
+/// connectivity parts; for d-hop parts, exact enumeration up to
+/// [`DHOP_EXACT_EDGE_LIMIT`] edges and hop-bounded sampling (same sample
+/// budget, estimator, and per-part seed) beyond. Making the split explicit
+/// here — rather than hiding it inside an opaque `S2Bdd` solver — keeps the
+/// [`PlanKey`](crate::PlanKey) honest about what actually ran.
+pub(crate) fn fixed_solver(part: &SemPart, base: S2BddConfig, part_index: usize) -> PartSolver {
+    let cfg = part_s2bdd_config(base, part_index);
+    match part.computation {
+        PartComputation::Connectivity => PartSolver::S2Bdd(cfg),
+        PartComputation::DHop { .. } if part.graph.num_edges() <= DHOP_EXACT_EDGE_LIMIT => {
+            PartSolver::Enumeration
+        }
+        PartComputation::DHop { .. } => PartSolver::Sampling {
+            samples: cfg.samples,
+            estimator: cfg.estimator,
+            seed: cfg.seed,
+        },
     }
 }
 

@@ -33,16 +33,19 @@
 //! batch level first, per-query override wins. `terminals` may be omitted
 //! for `"all-terminal"`. Every answer echoes the semantics it computed.
 //!
-//! Passing `"plan": true` or a `"budget"` object routes the request through
-//! the **adaptive planner** ([`Engine::run_planned_batch`]): `budget`
-//! accepts `nodes`, `samples`, `time_ms`, and `confidence`
-//! (`0.9`/`0.95`/`0.99`), each defaulting to [`PlanBudget::default`]
-//! (`crate::PlanBudget`); planned answers additionally carry `ci`
-//! (`{lower, upper, level}`) and `routes` (one of `"exact"`, `"bounded"`,
-//! `"sampling"` per part). In a `batch`, one planned query plans the whole
-//! batch, with the top-level budget as the default. The full protocol —
-//! shapes, field tables, netcat/curl examples — is documented in
-//! `docs/protocol.md`.
+//! Every query-carrying op makes one engine call ([`Engine::run`],
+//! [`Engine::run_batch`], or [`Engine::evaluate_with`]); the request only
+//! chooses each query's [`Routing`]. Without `plan`, `budget`, or `trace`
+//! a query runs under `Routing::Fixed` (the solver knobs above, on every
+//! part). Passing `"plan": true` or a `"budget"` object selects
+//! `Routing::Planned`, the **adaptive planner**: `budget` accepts `nodes`,
+//! `samples`, `time_ms`, and `confidence` (`0.9`/`0.95`/`0.99`), each
+//! defaulting to [`PlanBudget::default`]; planned answers additionally
+//! carry `ci` (`{lower, upper, level}`) and `routes` (one of `"exact"`,
+//! `"bounded"`, `"bit_sampling"`, `"sampling"` per part). In a `batch`, one
+//! planned query plans the whole batch, with the top-level budget as the
+//! default. The full protocol — shapes, field tables, netcat/curl examples
+//! — is documented in `docs/protocol.md`.
 //!
 //! ## Mutations
 //!
@@ -65,7 +68,7 @@
 //! Passing `"trace": true` on a `query` (or on a `batch` or one of its
 //! queries) opts that query into span tracing: the answer carries a
 //! `trace` object with the full span tree of its execution. Tracing
-//! implies the planned path. `stats` reports per-graph registration and
+//! implies the planned policy. `stats` reports per-graph registration and
 //! cache telemetry under `per_graph`. See `docs/observability.md`.
 //!
 //! ## Responses
@@ -75,8 +78,8 @@
 //! query in request order, so one bad query cannot poison a batch.
 
 use crate::{
-    Engine, EngineError, IndexPatch, Mutation, MutationOutcome, PlanBudget, PlannedQuery, Recorder,
-    ReliabilityQuery,
+    Engine, EngineError, IndexPatch, Mutation, MutationOutcome, PlanBudget, Query, Recorder,
+    ReliabilityAnswer, Routing,
 };
 use netrel_core::{ProConfig, SemanticsSpec};
 use netrel_numeric::ConfidenceLevel;
@@ -188,35 +191,17 @@ impl Service {
 
     fn op_query(&mut self, request: &Value) -> Result<Value, String> {
         let id = self.graph_field(request)?;
-        let query = parse_query(request, request)?;
-        // Tracing rides on the planned path (the classic path has no
-        // per-answer trace slot), so `trace: true` implies planning.
-        let answer = if wants_plan(request) || wants_trace(request) {
-            let mut budget = PlanBudget::default();
-            apply_budget(request, &mut budget)?;
-            let mut planned = PlannedQuery::with_semantics(
-                query.semantics,
-                query.terminals,
-                query.config,
-                budget,
-            );
-            if wants_trace(request) {
-                planned = planned.with_trace();
-            }
-            self.engine
-                .run_planned(id, &planned)
-                .map_err(|e: EngineError| e.to_string())?
-                .to_value()
-        } else {
-            self.engine
-                .run(id, &query)
-                .map_err(|e: EngineError| e.to_string())?
-                .to_value()
-        };
+        let mut query = parse_query(request, request)?;
+        // Tracing rides on the planned policy (fixed-route answers have no
+        // trace slot), so `trace: true` implies planning.
+        if wants_plan(request) || wants_trace(request) {
+            query.routing = planned_routing(&[request])?;
+        }
+        let answer = self.engine.run(id, &query).map_err(|e| e.to_string())?;
         Ok(Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
             ("op".into(), Value::Str("query".into())),
-            ("answer".into(), answer),
+            ("answer".into(), answer.to_value()),
         ]))
     }
 
@@ -227,7 +212,7 @@ impl Service {
             Some(_) => return Err("`queries` must be an array".into()),
             None => return Err("missing field `queries`".into()),
         };
-        let queries = items
+        let mut queries = items
             .iter()
             .map(|item| parse_query(item, request))
             .collect::<Result<Vec<_>, _>>()?;
@@ -237,36 +222,18 @@ impl Service {
         let planned_batch = wants_plan(request)
             || wants_trace(request)
             || items.iter().any(|i| wants_plan(i) || wants_trace(i));
-        let rendered: Vec<Value> = if planned_batch {
-            let planned = items
-                .iter()
-                .zip(queries)
-                .map(|(item, q)| {
-                    let mut budget = PlanBudget::default();
-                    apply_budget(request, &mut budget)?;
-                    apply_budget(item, &mut budget)?;
-                    let mut planned =
-                        PlannedQuery::with_semantics(q.semantics, q.terminals, q.config, budget);
-                    if wants_trace(request) || wants_trace(item) {
-                        planned = planned.with_trace();
-                    }
-                    Ok(planned)
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            self.engine
-                .run_planned_batch(id, &planned)
-                .map_err(|e| e.to_string())?
-                .into_iter()
-                .map(answer_slot)
-                .collect()
-        } else {
-            self.engine
-                .run_batch(id, &queries)
-                .map_err(|e| e.to_string())?
-                .into_iter()
-                .map(answer_slot)
-                .collect()
-        };
+        if planned_batch {
+            for (item, q) in items.iter().zip(&mut queries) {
+                q.routing = planned_routing(&[request, item])?;
+            }
+        }
+        let rendered: Vec<Value> = self
+            .engine
+            .run_batch(id, &queries)
+            .map_err(|e| e.to_string())?
+            .into_iter()
+            .map(answer_slot)
+            .collect();
         Ok(Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
             ("op".into(), Value::Str("batch".into())),
@@ -331,19 +298,13 @@ impl Service {
     fn op_whatif(&mut self, request: &Value) -> Result<Value, String> {
         let id = self.graph_field(request)?;
         let mutations = mutations_field(request, "mutations")?;
-        let query = parse_query(request, request)?;
-        // What-if evaluation always runs the planned pipeline; `budget`
-        // and `trace` work exactly as on a planned `query`.
-        let mut budget = PlanBudget::default();
-        apply_budget(request, &mut budget)?;
-        let mut planned =
-            PlannedQuery::with_semantics(query.semantics, query.terminals, query.config, budget);
-        if wants_trace(request) {
-            planned = planned.with_trace();
-        }
+        let mut query = parse_query(request, request)?;
+        // What-if evaluation always plans; `budget` and `trace` work
+        // exactly as on a planned `query`.
+        query.routing = planned_routing(&[request])?;
         let answer = self
             .engine
-            .evaluate_with(id, &mutations, &planned)
+            .evaluate_with(id, &mutations, &query)
             .map_err(|e| e.to_string())?;
         Ok(Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
@@ -400,7 +361,7 @@ fn err_response(message: impl Into<String>) -> Value {
     ])
 }
 
-fn answer_slot<T: Serialize>(result: Result<T, EngineError>) -> Value {
+fn answer_slot(result: Result<ReliabilityAnswer, EngineError>) -> Value {
     match result {
         Ok(answer) => Value::Map(vec![
             ("ok".into(), Value::Bool(true)),
@@ -418,6 +379,17 @@ fn wants_plan(v: &Value) -> bool {
 /// Whether one request (or query object) opts into span tracing.
 fn wants_trace(v: &Value) -> bool {
     matches!(v.get("trace"), Some(Value::Bool(true)))
+}
+
+/// The planned policy for one query: `budget` fields layered over `layers`
+/// (batch level first), traced when any layer opts in.
+fn planned_routing(layers: &[&Value]) -> Result<Routing, String> {
+    let mut budget = PlanBudget::default();
+    for layer in layers {
+        apply_budget(layer, &mut budget)?;
+    }
+    let trace = layers.iter().any(|layer| wants_trace(layer));
+    Ok(Routing::Planned { budget, trace })
 }
 
 /// Layer one request object's `budget` fields onto `budget` (absent fields
@@ -677,7 +649,7 @@ fn parse_semantics(item: &Value, defaults: &Value) -> Result<SemanticsSpec, Stri
 
 /// Parse one query object; `defaults` (the enclosing request, for `batch`)
 /// supplies fallback solver knobs and semantics.
-fn parse_query(item: &Value, defaults: &Value) -> Result<ReliabilityQuery, String> {
+fn parse_query(item: &Value, defaults: &Value) -> Result<Query, String> {
     let semantics = parse_semantics(item, defaults)?;
     let terminals = match item.get("terminals") {
         Some(Value::Seq(ts)) => ts
@@ -703,7 +675,7 @@ fn parse_query(item: &Value, defaults: &Value) -> Result<ReliabilityQuery, Strin
         apply_knobs(layer, &mut s2bdd)?;
     }
 
-    Ok(ReliabilityQuery::with_semantics(
+    Ok(Query::with_semantics(
         semantics,
         terminals,
         ProConfig {

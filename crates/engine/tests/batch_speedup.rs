@@ -5,7 +5,7 @@
 
 use netrel_core::{pro_reliability, ProConfig};
 use netrel_datasets::Dataset;
-use netrel_engine::{Engine, EngineConfig, ReliabilityQuery};
+use netrel_engine::{Engine, EngineConfig, Query};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::traversal::connected_components;
 use netrel_ugraph::{UncertainGraph, VertexId};
@@ -55,8 +55,8 @@ fn hundred_query_batch_beats_oneshot_and_agrees() {
     // 100 queries over 10 distinct terminal pairs — the hot-pair workload of
     // the s-t benchmark literature.
     let pairs = overlapping_pairs(&g, 10);
-    let queries: Vec<ReliabilityQuery> = (0..100)
-        .map(|i| ReliabilityQuery::with_config(pairs[i % pairs.len()].clone(), cfg))
+    let queries: Vec<Query> = (0..100)
+        .map(|i| Query::with_config(pairs[i % pairs.len()].clone(), cfg))
         .collect();
 
     // Independent one-shot calls (the status quo ante).

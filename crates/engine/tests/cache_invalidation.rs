@@ -16,7 +16,7 @@
 //!   the mutation outcome reported.
 
 use netrel_core::{ProConfig, SemanticsSpec};
-use netrel_engine::{Engine, EngineConfig, IndexPatch, Mutation, PlanBudget, PlannedQuery, Route};
+use netrel_engine::{Engine, EngineConfig, IndexPatch, Mutation, PlanBudget, Query, Route};
 use netrel_ugraph::UncertainGraph;
 
 /// 4-cycle 0-1-2-3 with per-fixture probabilities.
@@ -24,13 +24,9 @@ fn cycle4(p: [f64; 4]) -> UncertainGraph {
     UncertainGraph::new(4, [(0, 1, p[0]), (1, 2, p[1]), (2, 3, p[2]), (3, 0, p[3])]).unwrap()
 }
 
-fn planned(terminals: Vec<usize>) -> PlannedQuery {
-    PlannedQuery::with_semantics(
-        SemanticsSpec::KTerminal,
-        terminals,
-        ProConfig::default(),
-        PlanBudget::default(),
-    )
+fn planned(terminals: Vec<usize>) -> Query {
+    Query::with_semantics(SemanticsSpec::KTerminal, terminals, ProConfig::default())
+        .planned(PlanBudget::default())
 }
 
 /// Two-terminal reliability of a 4-cycle between opposite corners:
@@ -50,7 +46,7 @@ fn mutated_probabilities_are_never_answered_from_stale_plans() {
     let id = engine.register("g", cycle4([0.5, 0.8, 0.9, 0.7]));
     let q = planned(vec![0, 2]);
 
-    let before = engine.run_planned(id, &q).unwrap();
+    let before = engine.run(id, &q).unwrap();
     assert!(
         (before.estimate - cycle4_opposite([0.5, 0.8, 0.9, 0.7])).abs() < 1e-12,
         "{}",
@@ -59,7 +55,7 @@ fn mutated_probabilities_are_never_answered_from_stale_plans() {
 
     let outcome = engine.update_edge_prob(id, 0, 0.25).unwrap();
     assert_eq!(outcome.patch, IndexPatch::Patched);
-    let after = engine.run_planned(id, &q).unwrap();
+    let after = engine.run(id, &q).unwrap();
     assert!(
         (after.estimate - cycle4_opposite([0.25, 0.8, 0.9, 0.7])).abs() < 1e-12,
         "stale plan served: got {}",
@@ -73,7 +69,7 @@ fn mutated_probabilities_are_never_answered_from_stale_plans() {
         .evaluate_with(id, &[Mutation::UpdateProb { edge: 0, p: 0.75 }], &q)
         .unwrap();
     assert!((whatif.estimate - cycle4_opposite([0.75, 0.8, 0.9, 0.7])).abs() < 1e-12);
-    let again = engine.run_planned(id, &q).unwrap();
+    let again = engine.run(id, &q).unwrap();
     assert_eq!(again.estimate.to_bits(), after.estimate.to_bits());
 }
 
@@ -86,8 +82,8 @@ fn invalidation_does_not_cross_graph_owners() {
     let mut engine = Engine::new(EngineConfig::default());
     let a = engine.register("a", cycle4([0.5, 0.8, 0.9, 0.7]));
     let b = engine.register("b", cycle4([0.5, 0.8, 0.6, 0.7]));
-    engine.run_planned(a, &planned(vec![0, 1, 2])).unwrap();
-    engine.run_planned(b, &planned(vec![0, 1, 2])).unwrap();
+    engine.run(a, &planned(vec![0, 1, 2])).unwrap();
+    engine.run(b, &planned(vec![0, 1, 2])).unwrap();
 
     let occupancy = |engine: &Engine, name: &str| {
         engine
@@ -116,7 +112,7 @@ fn invalidation_does_not_cross_graph_owners() {
         "owner scoping violated: b lost entries to a's mutation"
     );
     // b still answers with its own, untouched probabilities.
-    let b_answer = engine.run_planned(b, &planned(vec![0, 2])).unwrap();
+    let b_answer = engine.run(b, &planned(vec![0, 2])).unwrap();
     assert!((b_answer.estimate - cycle4_opposite([0.5, 0.8, 0.6, 0.7])).abs() < 1e-12);
 }
 
@@ -142,8 +138,8 @@ fn invalidation_is_probability_scoped_and_occupancy_consistent() {
     )
     .unwrap();
     let id = engine.register("g", g);
-    engine.run_planned(id, &planned(vec![0, 1, 2])).unwrap();
-    engine.run_planned(id, &planned(vec![4, 5, 6])).unwrap();
+    engine.run(id, &planned(vec![0, 1, 2])).unwrap();
+    engine.run(id, &planned(vec![4, 5, 6])).unwrap();
     let before = engine.graph_stats()[0].cache_entries;
     assert!(
         before >= 2,
@@ -162,7 +158,7 @@ fn invalidation_is_probability_scoped_and_occupancy_consistent() {
     );
     assert!(after >= 1, "the first cycle's entry must survive");
     // The untouched component still answers its unchanged exact value.
-    let a = engine.run_planned(id, &planned(vec![0, 2])).unwrap();
+    let a = engine.run(id, &planned(vec![0, 2])).unwrap();
     assert!((a.estimate - cycle4_opposite([0.5, 0.8, 0.9, 0.7])).abs() < 1e-12);
 
     // Adding an edge invalidates nothing: no pre-existing key can cover
@@ -183,7 +179,7 @@ fn world_bank_masks_are_invalidated_with_the_plans() {
     let mut engine = Engine::new(EngineConfig::default());
     let id = engine.register("g", g.clone());
     let q = planned(vec![0, 49]);
-    let before = engine.run_planned(id, &q).unwrap();
+    let before = engine.run(id, &q).unwrap();
     assert!(
         before.routes.contains(&Route::BitSampling),
         "fixture must route to the bit-parallel sampler: {:?}",
@@ -196,14 +192,20 @@ fn world_bank_masks_are_invalidated_with_the_plans() {
         outcome.invalidated_worlds >= 1,
         "sampled masks covering edge 0 must drop: {outcome:?}"
     );
-    let after = engine.run_planned(id, &q).unwrap();
+    let after = engine.run(id, &q).unwrap();
 
     let mut fresh = Engine::new(EngineConfig::default());
     let mut fg = g;
     fg.update_edge_prob(0, p_old * 0.5).unwrap();
     let fid = fresh.register("fresh", fg);
-    let expected = fresh.run_planned(fid, &q).unwrap();
+    let expected = fresh.run(fid, &q).unwrap();
     assert_eq!(after.estimate.to_bits(), expected.estimate.to_bits());
-    assert_eq!(after.ci.lower.to_bits(), expected.ci.lower.to_bits());
-    assert_eq!(after.ci.upper.to_bits(), expected.ci.upper.to_bits());
+    assert_eq!(
+        after.ci.unwrap().lower.to_bits(),
+        expected.ci.unwrap().lower.to_bits()
+    );
+    assert_eq!(
+        after.ci.unwrap().upper.to_bits(),
+        expected.ci.unwrap().upper.to_bits()
+    );
 }

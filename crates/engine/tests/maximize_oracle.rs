@@ -11,7 +11,7 @@
 //! optimum on a fixture where greedy is known to be optimal.
 
 use netrel_core::{oracle_value, ProConfig, SemanticsSpec};
-use netrel_engine::{Engine, EngineConfig, Mutation, PlanBudget, PlannedQuery};
+use netrel_engine::{Engine, EngineConfig, Mutation, PlanBudget, Query};
 use netrel_ugraph::UncertainGraph;
 
 /// Apply a mutation set to a copy of `g` (panics on inapplicable sets —
@@ -152,12 +152,8 @@ fn greedy_choices_match_an_oracle_replay_round_for_round() {
 #[test]
 fn whatif_equals_commit_then_query_and_the_oracle() {
     let g = fixture();
-    let query = PlannedQuery::with_semantics(
-        SemanticsSpec::TwoTerminal,
-        vec![0, 5],
-        ProConfig::default(),
-        PlanBudget::default(),
-    );
+    let query = Query::with_semantics(SemanticsSpec::TwoTerminal, vec![0, 5], ProConfig::default())
+        .planned(PlanBudget::default());
     let sets: Vec<Vec<Mutation>> = vec![
         vec![Mutation::UpdateProb { edge: 3, p: 0.99 }],
         vec![
@@ -192,7 +188,7 @@ fn whatif_equals_commit_then_query_and_the_oracle() {
         for m in &set {
             committed.apply_mutation(cid, *m).unwrap();
         }
-        let after = committed.run_planned(cid, &query).unwrap();
+        let after = committed.run(cid, &query).unwrap();
         assert_eq!(
             hypothetical.estimate.to_bits(),
             after.estimate.to_bits(),

@@ -10,9 +10,7 @@
 //! as a bit mismatch here.
 
 use netrel_core::{ProConfig, SemanticsSpec};
-use netrel_engine::{
-    Engine, EngineConfig, Mutation, PlanBudget, PlannedQuery, ReliabilityAnswer, Route,
-};
+use netrel_engine::{Engine, EngineConfig, Mutation, PlanBudget, Query, ReliabilityAnswer, Route};
 use netrel_ugraph::UncertainGraph;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,8 +25,8 @@ fn fingerprint(a: &ReliabilityAnswer) -> (u64, u64, u64, u64, u64, bool, u64) {
         a.estimate.to_bits(),
         a.lower_bound.to_bits(),
         a.upper_bound.to_bits(),
-        a.ci.lower.to_bits(),
-        a.ci.upper.to_bits(),
+        a.ci.unwrap().lower.to_bits(),
+        a.ci.unwrap().upper.to_bits(),
         a.exact,
         a.samples_used as u64,
     )
@@ -41,7 +39,7 @@ fn fresh_copy(g: &UncertainGraph) -> UncertainGraph {
 }
 
 /// One query per semantics, sized for an `n`-vertex graph.
-fn all_semantics_queries(n: usize) -> Vec<PlannedQuery> {
+fn all_semantics_queries(n: usize) -> Vec<Query> {
     let far = n - 1;
     [
         (SemanticsSpec::TwoTerminal, vec![0, far]),
@@ -52,7 +50,7 @@ fn all_semantics_queries(n: usize) -> Vec<PlannedQuery> {
     ]
     .into_iter()
     .map(|(spec, terminals)| {
-        PlannedQuery::with_semantics(spec, terminals, ProConfig::default(), PlanBudget::default())
+        Query::with_semantics(spec, terminals, ProConfig::default()).planned(PlanBudget::default())
     })
     .collect()
 }
@@ -63,13 +61,13 @@ fn assert_matches_fresh(
     engine: &mut Engine,
     id: netrel_engine::GraphId,
     g: &UncertainGraph,
-    queries: &[PlannedQuery],
+    queries: &[Query],
     what: &str,
 ) {
     let mut fresh = Engine::new(EngineConfig::default());
     let fid = fresh.register("fresh", fresh_copy(g));
-    let mutated = engine.run_planned_batch(id, queries).unwrap();
-    let rebuilt = fresh.run_planned_batch(fid, queries).unwrap();
+    let mutated = engine.run_batch(id, queries).unwrap();
+    let rebuilt = fresh.run_batch(fid, queries).unwrap();
     for (i, (m, f)) in mutated.into_iter().zip(rebuilt).enumerate() {
         match (m, f) {
             (Ok(m), Ok(f)) => assert_eq!(
@@ -188,15 +186,11 @@ fn dense_mutated_graphs_match_fresh_engines_on_the_sampling_route() {
         "fixture drifted: {} edges",
         g.num_edges()
     );
-    let queries: Vec<PlannedQuery> = [vec![0, n - 1], vec![1, n / 2, n - 2]]
+    let queries: Vec<Query> = [vec![0, n - 1], vec![1, n / 2, n - 2]]
         .into_iter()
         .map(|t| {
-            PlannedQuery::with_semantics(
-                SemanticsSpec::KTerminal,
-                t,
-                ProConfig::default(),
-                PlanBudget::default(),
-            )
+            Query::with_semantics(SemanticsSpec::KTerminal, t, ProConfig::default())
+                .planned(PlanBudget::default())
         })
         .collect();
 
@@ -233,9 +227,9 @@ fn dense_mutated_graphs_match_fresh_engines_on_the_sampling_route() {
             ..EngineConfig::default()
         });
         let fid = fresh.register("fresh", fresh_copy(&shadow));
-        let a = seq.run_planned_batch(sid, &queries).unwrap();
-        let b = par.run_planned_batch(pid, &queries).unwrap();
-        let c = fresh.run_planned_batch(fid, &queries).unwrap();
+        let a = seq.run_batch(sid, &queries).unwrap();
+        let b = par.run_batch(pid, &queries).unwrap();
+        let c = fresh.run_batch(fid, &queries).unwrap();
         for (i, ((a, b), c)) in a.into_iter().zip(b).zip(c).enumerate() {
             let (a, b, c) = (a.unwrap(), b.unwrap(), c.unwrap());
             sampled |= a.routes.contains(&Route::BitSampling) || a.samples_used > 0;

@@ -1,11 +1,11 @@
 //! Bit-identity regression suite for the observability layer: an engine
 //! with a live [`Recorder`] (and per-query tracing) must return answers
 //! byte-identical to an uninstrumented engine, across all five semantics
-//! and both the classic and planned paths. Instrumentation reads clocks
+//! and both routing policies (fixed and planned). Instrumentation reads clocks
 //! and bumps atomics — it must never touch an RNG or reorder work.
 
 use netrel_core::{ProConfig, SemanticsSpec};
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, Recorder, ReliabilityQuery};
+use netrel_engine::{Engine, EngineConfig, PlanBudget, Query, Recorder, Routing};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::UncertainGraph;
 
@@ -27,6 +27,20 @@ fn lollipop() -> UncertainGraph {
         ],
     )
     .unwrap()
+}
+
+/// A planned query with span tracing switched on (its budget kept).
+fn traced(q: &Query) -> Query {
+    let Routing::Planned { budget, .. } = q.routing else {
+        panic!("tracing is planned-only");
+    };
+    Query {
+        routing: Routing::Planned {
+            budget,
+            trace: true,
+        },
+        ..q.clone()
+    }
 }
 
 /// Width-bounded sampling config, so approximate per-part RNG paths are
@@ -55,9 +69,9 @@ fn five_semantics() -> Vec<(SemanticsSpec, Vec<usize>)> {
 
 #[test]
 fn classic_answers_are_bit_identical_under_instrumentation() {
-    let queries: Vec<ReliabilityQuery> = five_semantics()
+    let queries: Vec<Query> = five_semantics()
         .into_iter()
-        .map(|(s, t)| ReliabilityQuery::with_semantics(s, t, sampling_cfg(11)))
+        .map(|(s, t)| Query::with_semantics(s, t, sampling_cfg(11)))
         .collect();
 
     let mut plain = Engine::new(EngineConfig::default());
@@ -97,15 +111,15 @@ fn planned_answers_are_bit_identical_under_instrumentation_and_tracing() {
 
     for (spec, terminals) in cases {
         let q =
-            PlannedQuery::with_semantics(spec, terminals, sampling_cfg(11), PlanBudget::default());
-        let x = plain.run_planned(pid, &q).unwrap();
+            Query::with_semantics(spec, terminals, sampling_cfg(11)).planned(PlanBudget::default());
+        let x = plain.run(pid, &q).unwrap();
         // Tracing on top of metrics: the maximally-instrumented path.
-        let y = inst.run_planned(iid, &q.clone().with_trace()).unwrap();
+        let y = inst.run(iid, &traced(&q)).unwrap();
         assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "{spec:?}");
         assert_eq!(x.lower_bound.to_bits(), y.lower_bound.to_bits());
         assert_eq!(x.upper_bound.to_bits(), y.upper_bound.to_bits());
-        assert_eq!(x.ci.lower.to_bits(), y.ci.lower.to_bits());
-        assert_eq!(x.ci.upper.to_bits(), y.ci.upper.to_bits());
+        assert_eq!(x.ci.unwrap().lower.to_bits(), y.ci.unwrap().lower.to_bits());
+        assert_eq!(x.ci.unwrap().upper.to_bits(), y.ci.unwrap().upper.to_bits());
         assert_eq!(x.samples_used, y.samples_used);
         assert_eq!(x.routes, y.routes);
         assert!(x.trace.is_none(), "untraced query must not carry a trace");
@@ -132,17 +146,17 @@ fn bit_sampling_path_is_bit_identical_under_instrumentation_and_tracing() {
         (SemanticsSpec::DHop { d: 2 }, vec![0, 44]),
     ] {
         let q =
-            PlannedQuery::with_semantics(spec, terminals, sampling_cfg(11), PlanBudget::default());
-        let x = plain.run_planned(pid, &q).unwrap();
-        let y = inst.run_planned(iid, &q.clone().with_trace()).unwrap();
+            Query::with_semantics(spec, terminals, sampling_cfg(11)).planned(PlanBudget::default());
+        let x = plain.run(pid, &q).unwrap();
+        let y = inst.run(iid, &traced(&q)).unwrap();
         assert!(
             x.routes.contains(&netrel_engine::Route::BitSampling),
             "{spec:?} must route to the packed sampler: {:?}",
             x.routes
         );
         assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "{spec:?}");
-        assert_eq!(x.ci.lower.to_bits(), y.ci.lower.to_bits());
-        assert_eq!(x.ci.upper.to_bits(), y.ci.upper.to_bits());
+        assert_eq!(x.ci.unwrap().lower.to_bits(), y.ci.unwrap().lower.to_bits());
+        assert_eq!(x.ci.unwrap().upper.to_bits(), y.ci.unwrap().upper.to_bits());
         assert_eq!(x.variance_estimate.to_bits(), y.variance_estimate.to_bits());
         assert_eq!(x.samples_used, y.samples_used);
         assert_eq!(x.routes, y.routes);
@@ -172,8 +186,8 @@ fn trace_spans_are_well_formed_and_round_trip_through_serde() {
 
     let mut engine = Engine::new(EngineConfig::sequential());
     let id = engine.register("g", lollipop());
-    let q = PlannedQuery::new(vec![0, 7], PlanBudget::default()).with_trace();
-    let a = engine.run_planned(id, &q).unwrap();
+    let q = traced(&Query::new(vec![0, 7]).planned(PlanBudget::default()));
+    let a = engine.run(id, &q).unwrap();
     let trace = a.trace.expect("trace requested");
 
     // Root first; every other span's parent is an earlier span; monotone
@@ -224,9 +238,9 @@ fn mutation_path_is_bit_identical_under_instrumentation() {
         },
         Mutation::RemoveEdge { edge: 5 },
     ];
-    let queries: Vec<PlannedQuery> = five_semantics()
+    let queries: Vec<Query> = five_semantics()
         .into_iter()
-        .map(|(s, t)| PlannedQuery::with_semantics(s, t, sampling_cfg(11), PlanBudget::default()))
+        .map(|(s, t)| Query::with_semantics(s, t, sampling_cfg(11)).planned(PlanBudget::default()))
         .collect();
 
     let mut plain = Engine::new(EngineConfig::default());
@@ -241,13 +255,13 @@ fn mutation_path_is_bit_identical_under_instrumentation() {
         assert_eq!(x.patch, y.patch, "step {step}");
         assert_eq!(x.invalidated_plans, y.invalidated_plans, "step {step}");
         assert_eq!(x.invalidated_worlds, y.invalidated_worlds, "step {step}");
-        let a = plain.run_planned_batch(pid, &queries).unwrap();
-        let b = inst.run_planned_batch(iid, &queries).unwrap();
+        let a = plain.run_batch(pid, &queries).unwrap();
+        let b = inst.run_batch(iid, &queries).unwrap();
         for (x, y) in a.iter().zip(&b) {
             let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
             assert_eq!(x.estimate.to_bits(), y.estimate.to_bits(), "step {step}");
-            assert_eq!(x.ci.lower.to_bits(), y.ci.lower.to_bits());
-            assert_eq!(x.ci.upper.to_bits(), y.ci.upper.to_bits());
+            assert_eq!(x.ci.unwrap().lower.to_bits(), y.ci.unwrap().lower.to_bits());
+            assert_eq!(x.ci.unwrap().upper.to_bits(), y.ci.unwrap().upper.to_bits());
             assert_eq!(x.samples_used, y.samples_used);
             assert_eq!(x.routes, y.routes);
         }
@@ -277,7 +291,7 @@ fn mutation_path_is_bit_identical_under_instrumentation() {
 
 #[test]
 fn worker_count_does_not_change_instrumented_answers() {
-    let q = PlannedQuery::with_config(vec![0, 7], sampling_cfg(5), PlanBudget::default());
+    let q = Query::with_config(vec![0, 7], sampling_cfg(5)).planned(PlanBudget::default());
     let mut seq = Engine::with_recorder(
         EngineConfig {
             workers: 1,
@@ -294,8 +308,8 @@ fn worker_count_does_not_change_instrumented_answers() {
         Recorder::enabled(),
     );
     let pid = par.register("g", lollipop());
-    let a = seq.run_planned(sid, &q.clone().with_trace()).unwrap();
-    let b = par.run_planned(pid, &q.with_trace()).unwrap();
+    let a = seq.run(sid, &traced(&q)).unwrap();
+    let b = par.run(pid, &traced(&q)).unwrap();
     assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
     assert_eq!(a.samples_used, b.samples_used);
     assert_eq!(a.routes, b.routes);

@@ -8,7 +8,7 @@
 //!    cache states.
 
 use netrel_core::{pro_reliability, ProConfig};
-use netrel_engine::{Engine, EngineConfig, PlanBudget, PlannedQuery, ReliabilityQuery, Route};
+use netrel_engine::{Engine, EngineConfig, PlanBudget, Query, Route};
 use netrel_s2bdd::S2BddConfig;
 use netrel_ugraph::UncertainGraph;
 
@@ -70,11 +70,11 @@ fn sparse_fixtures_route_exact_and_match_pro_bitwise() {
     for (name, g, terminal_sets) in sparse_fixtures() {
         let mut engine = Engine::new(EngineConfig::default());
         let id = engine.register(name, g.clone());
-        let queries: Vec<PlannedQuery> = terminal_sets
+        let queries: Vec<Query> = terminal_sets
             .iter()
-            .map(|t| PlannedQuery::new(t.clone(), PlanBudget::default()))
+            .map(|t| Query::new(t.clone()).planned(PlanBudget::default()))
             .collect();
-        let answers = engine.run_planned_batch(id, &queries).unwrap();
+        let answers = engine.run_batch(id, &queries).unwrap();
         for (t, a) in terminal_sets.iter().zip(answers) {
             let a = a.unwrap();
             assert!(
@@ -84,7 +84,10 @@ fn sparse_fixtures_route_exact_and_match_pro_bitwise() {
             );
             assert!(a.exact, "{name} {t:?}");
             assert_eq!(a.samples_used, 0);
-            assert_eq!((a.ci.lower, a.ci.upper), (a.estimate, a.estimate));
+            assert_eq!(
+                (a.ci.unwrap().lower, a.ci.unwrap().upper),
+                (a.estimate, a.estimate)
+            );
             let solo = pro_reliability(&g, t, exact_cfg()).unwrap();
             assert_eq!(
                 a.estimate.to_bits(),
@@ -109,7 +112,7 @@ fn dense_batch_unfinishable_exactly_completes_through_the_planner() {
     // Exact-only under the same node cap: the solver trips the cap and,
     // with no sampling budget, degrades to a useless [~0, ~1] envelope —
     // this is the failure mode the planner exists to avoid.
-    let capped_exact = ReliabilityQuery::with_config(
+    let capped_exact = Query::with_config(
         vec![0, 54],
         ProConfig {
             s2bdd: S2BddConfig {
@@ -134,19 +137,19 @@ fn dense_batch_unfinishable_exactly_completes_through_the_planner() {
 
     // The planner routes the same batch to the bit-parallel sampler and
     // completes with CI-carrying answers.
-    let queries: Vec<PlannedQuery> = [vec![0, 54], vec![1, 30], vec![7, 20, 40]]
+    let queries: Vec<Query> = [vec![0, 54], vec![1, 30], vec![7, 20, 40]]
         .into_iter()
-        .map(|t| PlannedQuery::new(t, budget))
+        .map(|t| Query::new(t).planned(budget))
         .collect();
-    let answers = engine.run_planned_batch(id, &queries).unwrap();
+    let answers = engine.run_batch(id, &queries).unwrap();
     for a in answers {
         let a = a.unwrap();
         assert!(a.routes.contains(&Route::BitSampling), "{:?}", a.routes);
         assert!(!a.exact);
         assert!(a.samples_used > 0);
-        assert!(a.ci.contains(a.estimate));
+        assert!(a.ci.unwrap().contains(a.estimate));
         assert!(
-            a.ci.width() > 0.0,
+            a.ci.unwrap().width() > 0.0,
             "an estimated answer must never claim certainty: {:?}",
             a.ci
         );
@@ -159,9 +162,9 @@ fn dense_batch_unfinishable_exactly_completes_through_the_planner() {
 #[test]
 fn planned_answers_identical_across_engines_and_worker_counts() {
     let g = clique(45);
-    let queries: Vec<PlannedQuery> = [vec![0, 44], vec![3, 17]]
+    let queries: Vec<Query> = [vec![0, 44], vec![3, 17]]
         .into_iter()
-        .map(|t| PlannedQuery::new(t, PlanBudget::default()))
+        .map(|t| Query::new(t).planned(PlanBudget::default()))
         .collect();
     let mut reference: Option<Vec<(u64, u64, u64)>> = None;
     for cfg in [
@@ -175,15 +178,15 @@ fn planned_answers_identical_across_engines_and_worker_counts() {
         let mut engine = Engine::new(cfg);
         let id = engine.register("clique45", g.clone());
         let bits: Vec<(u64, u64, u64)> = engine
-            .run_planned_batch(id, &queries)
+            .run_batch(id, &queries)
             .unwrap()
             .into_iter()
             .map(|a| {
                 let a = a.unwrap();
                 (
                     a.estimate.to_bits(),
-                    a.ci.lower.to_bits(),
-                    a.ci.upper.to_bits(),
+                    a.ci.unwrap().lower.to_bits(),
+                    a.ci.unwrap().upper.to_bits(),
                 )
             })
             .collect();
@@ -204,11 +207,11 @@ fn mixed_batch_routes_per_part() {
     let sid = engine.register("sparse", sparse);
     let did = engine.register("dense", dense);
     let a = engine
-        .run_planned(sid, &PlannedQuery::new(vec![0, 5], PlanBudget::default()))
+        .run(sid, &Query::new(vec![0, 5]).planned(PlanBudget::default()))
         .unwrap();
     assert!(a.exact);
     let b = engine
-        .run_planned(did, &PlannedQuery::new(vec![0, 49], PlanBudget::default()))
+        .run(did, &Query::new(vec![0, 49]).planned(PlanBudget::default()))
         .unwrap();
     assert!(!b.exact);
     assert!(b.routes.contains(&Route::BitSampling));

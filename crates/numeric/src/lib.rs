@@ -9,15 +9,14 @@
 //! which dominates sampling error by many orders of magnitude.
 //!
 //! The crate also provides compensated summation ([`NeumaierSum`]), online
-//! moment tracking ([`OnlineStats`]), log-space helpers, and the accuracy
-//! metrics used by the paper's evaluation ([`stats::accuracy`]).
+//! moment tracking ([`OnlineStats`]), and the accuracy metrics used by the
+//! paper's evaluation ([`stats::accuracy`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod fxhash;
 pub mod kahan;
-pub mod logspace;
 pub mod stats;
 pub mod widefloat;
 

@@ -196,7 +196,7 @@ impl HistogramSnapshot {
 #[derive(Debug)]
 pub struct Metrics {
     // -- engine --------------------------------------------------------
-    /// Queries answered through the classic (non-planned) path.
+    /// Queries answered under fixed routing (exposed as `path="classic"`).
     pub queries_classic: Counter,
     /// Queries answered through the adaptive planner.
     pub queries_planned: Counter,
@@ -424,7 +424,7 @@ pub struct RouteCountsSnapshot {
 /// renders the text side from the same data.
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct MetricsSnapshot {
-    /// Queries answered through the classic path.
+    /// Queries answered under fixed routing (`path="classic"`).
     pub queries_classic: u64,
     /// Queries answered through the adaptive planner.
     pub queries_planned: u64,

@@ -64,7 +64,7 @@ pub struct BenchRow {
     pub secs: f64,
     /// Queries per second.
     pub qps: f64,
-    /// Planner route decisions (all-zero for classic-path workloads).
+    /// Planner route decisions (all-zero for fixed-route workloads).
     pub routes: RouteCounts,
     /// Plan-cache counters.
     pub cache: CacheCounts,

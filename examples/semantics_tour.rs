@@ -52,7 +52,7 @@ fn main() {
         g.num_edges()
     );
     for (spec, terminals, what) in cases {
-        let q = ReliabilityQuery::with_semantics(spec, terminals.clone(), ProConfig::default());
+        let q = Query::with_semantics(spec, terminals.clone(), ProConfig::default());
         let a = engine.run(id, &q).unwrap();
         let truth = oracle_value(&g, spec, &terminals).unwrap();
         assert!(
@@ -76,17 +76,18 @@ fn main() {
     // hop-bounded sampling with a confidence interval.
     let dense = network_reliability::datasets::clique_uniform(30, 0.3);
     let did = engine.register("dense", dense);
-    let q = PlannedQuery::with_semantics(
+    let q = Query::with_semantics(
         SemanticsSpec::DHop { d: 2 },
         vec![0, 29],
         ProConfig::default(),
-        PlanBudget::default(),
-    );
-    let a = engine.run_planned(did, &q).unwrap();
+    )
+    .planned(PlanBudget::default());
+    let a = engine.run(did, &q).unwrap();
     assert!(!a.exact && a.samples_used > 0);
-    assert!(a.ci.contains(a.estimate));
+    let ci = a.ci.expect("planned answers carry a CI");
+    assert!(ci.contains(a.estimate));
     println!(
         "\nplanned d-hop on K30 (d = 2): {:.4} in CI [{:.4}, {:.4}] via {:?} ({} samples)",
-        a.estimate, a.ci.lower, a.ci.upper, a.routes, a.samples_used
+        a.estimate, ci.lower, ci.upper, a.routes, a.samples_used
     );
 }

@@ -164,9 +164,9 @@ proptest! {
         // Issue the query twice plus a decoy so the second run crosses a
         // warm cache; every answer must still equal the one-shot result.
         let queries = vec![
-            ReliabilityQuery::with_config(t.clone(), cfg),
-            ReliabilityQuery::with_config(vec![t[0]], cfg),
-            ReliabilityQuery::with_config(t.clone(), cfg),
+            Query::with_config(t.clone(), cfg),
+            Query::with_config(vec![t[0]], cfg),
+            Query::with_config(t.clone(), cfg),
         ];
         let answers = engine.run_batch(id, &queries).unwrap();
         let solo = pro_reliability(&g, &t, cfg).unwrap();
